@@ -25,7 +25,8 @@ refinement (:meth:`_build`, kept as the correctness oracle), the
 ``vectorized`` default (:meth:`_build_frontier`) sweeps one whole refinement
 level at a time — a single array of candidate cell codes is classified
 inside / outside / boundary per level with a vectorised segment-box
-intersection over CSR candidate lists plus one batched centre test.  Both
+intersection over CSR candidate lists plus one batched centre test on a
+y-slab edge table (:class:`~repro.geometry.predicates.RegionSlabs`).  Both
 backends emit the identical cell set, for distance-bounded and budgeted
 builds alike.
 
@@ -50,7 +51,7 @@ from repro.curves.morton import MAX_LEVEL, morton_decode_array
 from repro.errors import ApproximationError, CurveError
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.polygon import MultiPolygon, Polygon
-from repro.geometry.predicates import point_in_region, points_in_region
+from repro.geometry.predicates import RegionSlabs, point_in_region
 from repro.grid.rasterizer import _boundary_segment_array
 from repro.grid.uniform_grid import GridFrame
 
@@ -159,9 +160,8 @@ def _cell_boxes(
 
 
 def _classify_cells(
-    regions: "list[Polygon | MultiPolygon]",
+    slabs: RegionSlabs,
     frame: GridFrame,
-    segments: np.ndarray,
     seg_boxes: np.ndarray,
     codes: np.ndarray,
     level: int,
@@ -172,17 +172,20 @@ def _classify_cells(
     """Vectorised ``classify`` over every cell of one refinement level.
 
     ``cand_offsets`` / ``cand_idx`` form the CSR candidate-segment lists the
-    cells inherited from their parents.  ``cell_rids`` tags each cell with the
-    index of its region in ``regions`` — the suite-wide sweep classifies the
-    frontiers of many regions in one call; single-region sweeps pass
-    ``[region]`` and a zero tag array, which degenerates to the exact
-    per-region arithmetic.  Returns ``(kind, offsets, idx)``: ``kind[k]`` is
-    0 (outside), 1 (boundary) or 2 (inside) and ``(offsets, idx)`` is the CSR
-    of surviving segments per cell — the same bounding-box rejection + exact
-    slab clip as :func:`_intersecting`, run over all (cell, candidate) pairs
-    at once, followed by one batched centre test per region for the cells no
-    segment survived.
+    cells inherited from their parents (indices into ``slabs.segments``, whose
+    bounding boxes are ``seg_boxes``).  ``cell_rids`` tags each cell with the
+    index of its region in ``slabs`` — the suite-wide sweep classifies the
+    frontiers of many regions in one call; single-region sweeps pass a
+    one-region table and a zero tag array.  Returns ``(kind, offsets, idx)``:
+    ``kind[k]`` is 0 (outside), 1 (boundary) or 2 (inside) and
+    ``(offsets, idx)`` is the CSR of surviving segments per cell — the same
+    bounding-box rejection + exact slab clip as :func:`_intersecting`, run
+    over all (cell, candidate) pairs at once, followed by one segmented
+    centre test (:meth:`RegionSlabs.contains`) for the cells no segment
+    survived, whatever their regions.  That test is elementwise, so every
+    cell's verdict is the one ``point_in_region`` gives the scalar oracle.
     """
+    segments = slabs.segments
     n = codes.shape[0]
     x0, y0, x1, y1 = _cell_boxes(frame, codes, level)
 
@@ -212,16 +215,17 @@ def _classify_cells(
     if no_seg.any():
         cx = (x0[no_seg] + x1[no_seg]) / 2.0
         cy = (y0[no_seg] + y1[no_seg]) / 2.0
-        no_seg_rids = cell_rids[no_seg]
-        inside = np.empty(cx.shape[0], dtype=bool)
-        # One batched centre test per region present; the predicate is
-        # elementwise, so splitting by region keeps every cell's verdict
-        # bit-identical to the per-region sweep (and to the scalar oracle).
-        for rid in np.unique(no_seg_rids):
-            group = no_seg_rids == rid
-            inside[group] = points_in_region(cx[group], cy[group], regions[rid])
+        inside = slabs.contains(cell_rids[no_seg], cx, cy)
         kind[no_seg] = np.where(inside, np.int8(2), np.int8(0))
     return kind, offsets, surv_idx
+
+
+def _centres_inside(
+    slabs: RegionSlabs, frame: GridFrame, codes: np.ndarray, level: int, cell_rids: np.ndarray
+) -> np.ndarray:
+    """Mask of the cells (one level, region-tagged) whose centre is in their region."""
+    x0, y0, x1, y1 = _cell_boxes(frame, codes, level)
+    return slabs.contains(cell_rids, (x0 + x1) / 2.0, (y0 + y1) / 2.0)
 
 
 def _replay_budget(
@@ -564,8 +568,9 @@ class HierarchicalRasterApproximation(GeometricApproximation):
         """
         from repro.index.csr import expand_slices
 
-        segments = _region_segments(region)
-        seg_boxes = _segment_bboxes(segments)
+        slabs = RegionSlabs([region])
+        num_segments = slabs.segments.shape[0]
+        seg_boxes = _segment_bboxes(slabs.segments)
         max_level = min(max_level, MAX_LEVEL)
         start = _start_cell(frame, region.bounds(), max_level)
 
@@ -579,9 +584,8 @@ class HierarchicalRasterApproximation(GeometricApproximation):
             if not codes_arr.size:
                 return
             if not conservative:
-                x0, y0, x1, y1 = _cell_boxes(frame, codes_arr, level)
-                inside = points_in_region((x0 + x1) / 2.0, (y0 + y1) / 2.0, region)
-                codes_arr = codes_arr[inside]
+                tags = np.zeros(codes_arr.shape[0], dtype=np.int64)
+                codes_arr = codes_arr[_centres_inside(slabs, frame, codes_arr, level, tags)]
                 if not codes_arr.size:
                     return
             chunks.append((codes_arr, level, True))
@@ -590,14 +594,13 @@ class HierarchicalRasterApproximation(GeometricApproximation):
         codes = np.array([start.code], dtype=np.uint64)
         level = start.level
         kind, offsets, idx = _classify_cells(
-            [region],
+            slabs,
             frame,
-            segments,
             seg_boxes,
             codes,
             level,
-            np.array([0, segments.shape[0]], dtype=np.int64),
-            np.arange(segments.shape[0], dtype=np.int64),
+            np.array([0, num_segments], dtype=np.int64),
+            np.arange(num_segments, dtype=np.int64),
             np.zeros(1, dtype=np.int64),
         )
         if kind[0] == 2:
@@ -625,7 +628,7 @@ class HierarchicalRasterApproximation(GeometricApproximation):
             child_offsets = np.zeros(4 * n + 1, dtype=np.int64)
             np.cumsum(child_counts, out=child_offsets[1:])
             ckind, coffsets, cidx = _classify_cells(
-                [region], frame, segments, seg_boxes, child_codes, level + 1,
+                slabs, frame, seg_boxes, child_codes, level + 1,
                 child_offsets, child_idx, np.zeros(child_codes.shape[0], dtype=np.int64),
             )
 
@@ -713,16 +716,12 @@ class HierarchicalRasterApproximation(GeometricApproximation):
         if num == 0:
             return []
 
-        seg_arrays = [_region_segments(region) for region in regions]
-        seg_counts = np.array([a.shape[0] for a in seg_arrays], dtype=np.int64)
-        seg_offsets = np.zeros(num + 1, dtype=np.int64)
-        np.cumsum(seg_counts, out=seg_offsets[1:])
-        segments = (
-            np.concatenate(seg_arrays)
-            if int(seg_offsets[-1])
-            else np.empty((0, 4), dtype=np.float64)
-        )
-        seg_boxes = _segment_bboxes(segments)
+        # One region-tagged edge table for the whole suite: its segment array
+        # feeds the boundary classification, its slabs the centre tests.
+        slabs = RegionSlabs(regions)
+        seg_offsets = slabs.region_segment_offsets
+        seg_counts = np.diff(seg_offsets)
+        seg_boxes = _segment_bboxes(slabs.segments)
 
         starts = [_start_cell(frame, region.bounds(), max_level) for region in regions]
         entry: dict[int, list[int]] = {}
@@ -732,20 +731,19 @@ class HierarchicalRasterApproximation(GeometricApproximation):
         chunks: list[list[tuple[np.ndarray, int, bool]]] = [[] for _ in range(num)]
         totals = np.zeros(num, dtype=np.int64)
 
-        def emit_interior(rid: int, codes_arr: np.ndarray, lvl: int) -> None:
+        def emit(rid: int, codes_arr: np.ndarray, lvl: int, boundary: bool) -> None:
             if codes_arr.size:
-                chunks[rid].append((codes_arr, lvl, False))
+                chunks[rid].append((codes_arr, lvl, boundary))
 
-        def emit_leaves(rid: int, codes_arr: np.ndarray, lvl: int) -> None:
-            if not codes_arr.size:
-                return
-            if not conservative:
-                x0, y0, x1, y1 = _cell_boxes(frame, codes_arr, lvl)
-                inside = points_in_region((x0 + x1) / 2.0, (y0 + y1) / 2.0, regions[rid])
-                codes_arr = codes_arr[inside]
-                if not codes_arr.size:
-                    return
-            chunks[rid].append((codes_arr, lvl, True))
+        def kept_leaves(leaf: np.ndarray, codes_arr: np.ndarray, rids: np.ndarray, lvl: int):
+            """``leaf`` (a mask over one level's cells) minus the boundary leaves
+            a non-conservative build drops: those whose centre is outside
+            their region, found in one segmented call for all regions."""
+            if conservative:
+                return leaf
+            leaf = leaf.copy()
+            leaf[leaf] = _centres_inside(slabs, frame, codes_arr[leaf], lvl, rids[leaf])
+            return leaf
 
         # Frontier of the current level: region-major concatenated boundary
         # cells, their region tags, and CSR candidate-segment lists (indices
@@ -770,12 +768,11 @@ class HierarchicalRasterApproximation(GeometricApproximation):
                 np.cumsum(e_counts, out=e_offsets[1:])
                 e_idx = expand_slices(seg_offsets[e_rids], e_counts)
                 e_kind, e_offsets, e_idx = _classify_cells(
-                    regions, frame, segments, seg_boxes, e_codes, level,
-                    e_offsets, e_idx, e_rids,
+                    slabs, frame, seg_boxes, e_codes, level, e_offsets, e_idx, e_rids,
                 )
                 for j, rid in enumerate(entering):
                     if e_kind[j] == 2:
-                        emit_interior(rid, e_codes[j : j + 1], level)
+                        emit(rid, e_codes[j : j + 1], level, False)
                     if e_kind[j] != 0:
                         totals[rid] = 1
                 stay = e_kind == 1
@@ -815,12 +812,13 @@ class HierarchicalRasterApproximation(GeometricApproximation):
                     # Whole regions stop, so the stopped subset stays
                     # region-major: emit each region's leaves from its
                     # contiguous slice instead of rescanning the frontier.
-                    stopped_codes = f_codes[stop_mask]
-                    stopped_rids = f_rids[stop_mask]
+                    leaf = kept_leaves(stop_mask, f_codes, f_rids, level)
+                    stopped_codes = f_codes[leaf]
+                    stopped_rids = f_rids[leaf]
                     uniq, slice_lo = np.unique(stopped_rids, return_index=True)
                     slice_hi = np.append(slice_lo[1:], stopped_rids.shape[0])
                     for rid, lo, hi in zip(uniq.tolist(), slice_lo.tolist(), slice_hi.tolist()):
-                        emit_leaves(int(rid), stopped_codes[lo:hi], level)
+                        emit(rid, stopped_codes[lo:hi], level, True)
                     keep = ~stop_mask
                     keep_counts = np.diff(f_offsets)[keep]
                     f_idx = f_idx[expand_slices(f_offsets[:-1][keep], keep_counts)]
@@ -847,7 +845,7 @@ class HierarchicalRasterApproximation(GeometricApproximation):
             child_offsets = np.zeros(4 * n + 1, dtype=np.int64)
             np.cumsum(child_counts, out=child_offsets[1:])
             ckind, coffsets, cidx = _classify_cells(
-                regions, frame, segments, seg_boxes, child_codes, level + 1,
+                slabs, frame, seg_boxes, child_codes, level + 1,
                 child_offsets, child_idx, child_rids,
             )
 
@@ -877,19 +875,23 @@ class HierarchicalRasterApproximation(GeometricApproximation):
             split_children = np.repeat(split_parent, 4)
             interior_mask = split_children & (ckind == 2)
             frontier_mask = split_children & (ckind == 1)
+            # Budget exhausted mid-level: the unsplit remainder of a region's
+            # frontier and its already-split boundary children all become
+            # leaf cells, exactly like draining the oracle's heap.
+            parent_leaf = kept_leaves(
+                budget_stopped[f_rids] & ~split_parent, f_codes, f_rids, level
+            )
+            child_leaf = kept_leaves(
+                budget_stopped[child_rids] & frontier_mask, child_codes, child_rids, level + 1
+            )
             for rid, lo, hi in zip(
                 uniq_rids.tolist(), slice_starts.tolist(), slice_stops.tolist()
             ):
                 csl = slice(4 * lo, 4 * hi)
-                emit_interior(rid, child_codes[csl][interior_mask[csl]], level + 1)
+                emit(rid, child_codes[csl][interior_mask[csl]], level + 1, False)
                 if budget_stopped[rid]:
-                    # Budget exhausted mid-level: the unsplit remainder of
-                    # this region's frontier and its already-split boundary
-                    # children all become leaf cells, exactly like draining
-                    # the oracle's heap.
-                    region_split = split_parent[lo:hi]
-                    emit_leaves(rid, f_codes[lo:hi][~region_split], level)
-                    emit_leaves(rid, child_codes[csl][frontier_mask[csl]], level + 1)
+                    emit(rid, f_codes[lo:hi][parent_leaf[lo:hi]], level, True)
+                    emit(rid, child_codes[csl][child_leaf[csl]], level + 1, True)
 
             # Next frontier: boundary children of split parents, minus the
             # regions that just exhausted their budget (their children were

@@ -21,6 +21,7 @@ from repro.errors import GeometryError
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import Point
 from repro.geometry.segment import Segment
+from repro.geometry.slab import SlabTable, ring_segment_array
 
 __all__ = ["Ring", "Polygon", "MultiPolygon"]
 
@@ -29,6 +30,8 @@ def _as_ring_array(coords: Iterable[tuple[float, float]] | np.ndarray) -> np.nda
     arr = np.asarray(list(coords) if not isinstance(coords, np.ndarray) else coords, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise GeometryError("a ring must be an (n, 2) coordinate sequence")
+    if not np.isfinite(arr).all():
+        raise GeometryError("ring coordinates must be finite")
     # Drop an explicitly repeated closing vertex.
     if arr.shape[0] >= 2 and np.allclose(arr[0], arr[-1]):
         arr = arr[:-1]
@@ -46,10 +49,26 @@ def _signed_area(arr: np.ndarray) -> float:
 class Ring:
     """A closed ring of vertices (the closing vertex is implicit)."""
 
-    __slots__ = ("coords",)
+    __slots__ = ("coords", "_slabs")
 
     def __init__(self, coords: Iterable[tuple[float, float]] | np.ndarray) -> None:
         self.coords = _as_ring_array(coords)
+        self._slabs: SlabTable | None = None
+
+    def __getstate__(self) -> dict:
+        # The edge table is derived state: polygons shipped to pool workers
+        # carry their coordinates only.
+        return {"coords": self.coords}
+
+    def __setstate__(self, state: dict) -> None:
+        self.coords = state["coords"]
+        self._slabs = None
+
+    def slab_table(self) -> SlabTable:
+        """The ring's y-slab edge table for containment tests (cached)."""
+        if self._slabs is None:
+            self._slabs = SlabTable(ring_segment_array(self.coords), [len(self)])
+        return self._slabs
 
     def __len__(self) -> int:
         return int(self.coords.shape[0])

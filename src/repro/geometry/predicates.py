@@ -17,8 +17,9 @@ import numpy as np
 
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import Point
-from repro.geometry.polygon import MultiPolygon, Polygon
+from repro.geometry.polygon import MultiPolygon, Polygon, Ring
 from repro.geometry.segment import segments_intersect
+from repro.geometry.slab import SlabTable, ring_segment_array
 
 __all__ = [
     "CellRelation",
@@ -26,6 +27,7 @@ __all__ = [
     "points_in_polygon",
     "point_in_region",
     "points_in_region",
+    "RegionSlabs",
     "box_intersects_polygon",
     "box_within_polygon",
     "classify_box",
@@ -119,9 +121,12 @@ def points_in_polygon(xs: np.ndarray, ys: np.ndarray, polygon: Polygon) -> np.nd
     """Vectorised even-odd point-in-polygon test.
 
     Returns a boolean mask over the input points.  The test first filters by
-    the polygon's bounding box and then applies the crossing-number algorithm
-    ring by ring using numpy broadcasting, so the cost is
-    ``O(num_candidate_points * num_vertices)`` with small constants.
+    the polygon's bounding box (which also drops NaN and infinite points) and
+    then runs the crossing-number test ring by ring on the rings' cached
+    y-slab edge tables (:class:`~repro.geometry.slab.SlabTable`), so a
+    candidate point only meets the few edges whose y-range can straddle it
+    instead of every vertex.  Verdicts equal :func:`point_in_polygon` bit for
+    bit.
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
@@ -132,50 +137,23 @@ def points_in_polygon(xs: np.ndarray, ys: np.ndarray, polygon: Polygon) -> np.nd
         return result
     cx = xs[candidate]
     cy = ys[candidate]
-    inside = _ring_contains_vec(polygon.exterior.coords, cx, cy)
+    inside = _ring_contains_vec(polygon.exterior, cx, cy)
     for hole in polygon.holes:
         if inside.any():
-            in_hole = _ring_contains_vec(hole.coords, cx, cy, boundary_inside=False)
+            in_hole = _ring_contains_vec(hole, cx, cy, boundary_inside=False)
             inside &= ~in_hole
     result[np.flatnonzero(candidate)] = inside
     return result
 
 
 def _ring_contains_vec(
-    coords: np.ndarray, xs: np.ndarray, ys: np.ndarray, boundary_inside: bool = True
+    ring: Ring, xs: np.ndarray, ys: np.ndarray, boundary_inside: bool = True
 ) -> np.ndarray:
-    """Vectorised crossing-number test of many points against one ring."""
-    n = coords.shape[0]
-    x1 = coords[:, 0]
-    y1 = coords[:, 1]
-    x2 = np.roll(x1, -1)
-    y2 = np.roll(y1, -1)
-
-    inside = np.zeros(xs.shape[0], dtype=bool)
-    on_boundary = np.zeros(xs.shape[0], dtype=bool)
-    for i in range(n):
-        xi, yi, xj, yj = x1[i], y1[i], x2[i], y2[i]
-        # Crossing test.
-        cond = (yi > ys) != (yj > ys)
-        if cond.any():
-            x_cross = (xj - xi) * (ys[cond] - yi) / (yj - yi) + xi
-            hit = xs[cond] < x_cross
-            idx = np.flatnonzero(cond)[hit]
-            inside[idx] = ~inside[idx]
-        # Boundary test.
-        cross = (xj - xi) * (ys - yi) - (yj - yi) * (xs - xi)
-        near = np.abs(cross) <= 1e-9 * max(1.0, abs(xj - xi) + abs(yj - yi))
-        if near.any():
-            within = (
-                (xs >= min(xi, xj) - 1e-9)
-                & (xs <= max(xi, xj) + 1e-9)
-                & (ys >= min(yi, yj) - 1e-9)
-                & (ys <= max(yi, yj) + 1e-9)
-            )
-            on_boundary |= near & within
+    """Vectorised crossing-number test of many finite points against one ring."""
+    odd, on_boundary = ring.slab_table().crossings(xs, ys)
     if boundary_inside:
-        return inside | on_boundary
-    return inside & ~on_boundary
+        return odd | on_boundary
+    return odd & ~on_boundary
 
 
 def point_in_region(x: float, y: float, region: Polygon | MultiPolygon) -> bool:
@@ -190,10 +168,9 @@ def points_in_region(
 ) -> np.ndarray:
     """Vectorised :func:`point_in_region` over coordinate arrays.
 
-    This is the batched centre test of the level-synchronous raster builder:
-    all no-boundary cells of one refinement level resolve their interior /
-    exterior status in one crossing-number pass per ring instead of one
-    Python-level ray cast per cell.
+    A multipolygon is the OR of :func:`points_in_polygon` over its parts.
+    To test points against *many* regions at once (each point against its
+    own), build a :class:`RegionSlabs` instead of calling this per region.
     """
     if isinstance(region, MultiPolygon):
         xs = np.asarray(xs, dtype=np.float64)
@@ -202,6 +179,86 @@ def points_in_region(
             mask |= points_in_polygon(xs, ys, part)
         return mask
     return points_in_polygon(xs, ys, region)
+
+
+class RegionSlabs:
+    """Segmented :func:`points_in_region`: many regions, one edge table.
+
+    Holds one :class:`~repro.geometry.slab.SlabTable` over every ring of a
+    polygon suite, tagged by part and region, so :meth:`contains` can test an
+    array of points *each against its own region* in one pass — the batched
+    centre test of the level-synchronous raster builder, which would
+    otherwise call :func:`points_in_region` once per region per level.
+
+    Attributes
+    ----------
+    segments:
+        ``(m, 4)`` boundary segments ``(x1, y1, x2, y2)`` of the whole suite:
+        regions in order, within a region its parts in order, within a part
+        the exterior then the holes.
+    region_segment_offsets:
+        ``segments[offsets[r]:offsets[r + 1]]`` are region ``r``'s.
+    """
+
+    __slots__ = (
+        "segments", "region_segment_offsets", "_table",
+        "_region_part0", "_part_ring0", "_part_bounds",
+    )
+
+    def __init__(self, regions: "list[Polygon | MultiPolygon]") -> None:
+        rings: list[Ring] = []
+        part_ring0 = [0]
+        region_part0 = [0]
+        part_bounds = []
+        for region in regions:
+            for part in region.polygons if isinstance(region, MultiPolygon) else (region,):
+                rings.extend(part.rings())
+                part_ring0.append(len(rings))
+                box = part.bounds()
+                part_bounds.append((box.min_x, box.min_y, box.max_x, box.max_y))
+            region_part0.append(len(part_bounds))
+        ring_sizes = np.array([len(ring) for ring in rings], dtype=np.int64)
+        self.segments = np.concatenate([ring_segment_array(ring.coords) for ring in rings])
+        self._table = SlabTable(self.segments, ring_sizes)
+        self._part_ring0 = np.asarray(part_ring0, dtype=np.int64)
+        self._region_part0 = np.asarray(region_part0, dtype=np.int64)
+        self._part_bounds = np.asarray(part_bounds, dtype=np.float64).reshape(-1, 4)
+        ring_segment0 = np.concatenate(([0], np.cumsum(ring_sizes)))
+        self.region_segment_offsets = ring_segment0[self._part_ring0[self._region_part0]]
+
+    def contains(self, region_ids: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """``points_in_region(xs[k], ys[k], regions[region_ids[k]])`` for every ``k``.
+
+        Same verdicts as the per-region calls, bit for bit: a point meets the
+        parts of its region whose bounding box holds it, is inside a part if
+        it is inside or on the exterior and not strictly inside a hole, and
+        inside the region if inside any part.
+        """
+        from repro.index.csr import expand_slices
+
+        result = np.zeros(xs.shape[0], dtype=bool)
+        # (point, part) pairs that pass the part's bounding box.
+        part0 = self._region_part0[region_ids]
+        parts = self._region_part0[region_ids + 1] - part0
+        pair_point = np.repeat(np.arange(xs.shape[0]), parts)
+        pair_part = expand_slices(part0, parts)
+        px, py = xs[pair_point], ys[pair_point]
+        box = self._part_bounds[pair_part]
+        keep = (px >= box[:, 0]) & (px <= box[:, 2]) & (py >= box[:, 1]) & (py <= box[:, 3])
+        pair_point, pair_part, px, py = pair_point[keep], pair_part[keep], px[keep], py[keep]
+        # (pair, ring) triples: each surviving pair meets every ring of its part.
+        ring0 = self._part_ring0[pair_part]
+        rings = self._part_ring0[pair_part + 1] - ring0
+        triple_pair = np.repeat(np.arange(pair_part.shape[0]), rings)
+        triple_ring = expand_slices(ring0, rings)
+        odd, on_boundary = self._table.crossings(px[triple_pair], py[triple_pair], triple_ring)
+        # A ring's boundary belongs to the part; off it, the point must be
+        # inside the exterior (odd) and outside every hole (even).
+        exterior = triple_ring == ring0[triple_pair]
+        fails = ~on_boundary & (odd != exterior)
+        failed = np.bincount(triple_pair[fails], minlength=pair_part.shape[0])
+        result[pair_point[failed == 0]] = True
+        return result
 
 
 def box_intersects_polygon(box: BoundingBox, polygon: Polygon) -> bool:

@@ -31,6 +31,7 @@ import numpy as np
 from repro.errors import ApproximationError
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.polygon import MultiPolygon, Polygon
+from repro.geometry.slab import ring_segment_array
 from repro.grid.uniform_grid import UniformGrid
 
 __all__ = [
@@ -134,11 +135,10 @@ def _mark_segment_cells(
 
 def _boundary_segment_array(region: Polygon | MultiPolygon) -> np.ndarray:
     """Boundary segments of a region as an ``(m, 4)`` array of ``(x0, y0, x1, y1)``."""
-    rows = [
-        (seg.start.x, seg.start.y, seg.end.x, seg.end.y)
-        for seg in region.boundary_segments()
-    ]
-    return np.asarray(rows, dtype=np.float64).reshape(-1, 4)
+    parts = region.polygons if isinstance(region, MultiPolygon) else (region,)
+    return np.concatenate(
+        [ring_segment_array(ring.coords) for part in parts for ring in part.rings()]
+    )
 
 
 def _grid_line_crossings(

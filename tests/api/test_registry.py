@@ -96,7 +96,12 @@ class TestRegistryCache:
         registry = IndexRegistry()
         assert registry.memory_bytes() == 0
         registry.act_index(neighborhoods, workload.frame(), epsilon=16.0)
-        assert registry.memory_bytes() > 0
+        built = registry.memory_bytes()
+        assert built > 0
+        # The polygons' cached edge tables are not index bytes.
+        for region in neighborhoods:
+            region.contains_points(np.array([500.0]), np.array([500.0]))
+        assert registry.memory_bytes() == built
 
 
 class TestInvalidation:

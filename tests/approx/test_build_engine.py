@@ -268,6 +268,38 @@ class TestSuiteSweepParity:
             np.testing.assert_array_equal(o1, o2)
             np.testing.assert_array_equal(p1, p2)
 
+    @pytest.mark.parametrize("conservative", [True, False])
+    @pytest.mark.parametrize("epsilon", [16.0, 4.0])
+    def test_suite_bound_build_identical_to_python_oracle(self, frame, conservative, epsilon):
+        """Holes and touching parts on cell-aligned coordinates: cell centres
+        fall exactly on hole and part boundaries, where the segmented centre
+        test must give the scalar ray cast's verdict."""
+        holed = Polygon(
+            [(12.5, 12.5), (87.5, 12.5), (87.5, 87.5), (12.5, 87.5)],
+            holes=[
+                [(25.0, 25.0), (50.0, 25.0), (50.0, 50.0), (25.0, 50.0)],
+                [(56.25, 56.25), (75.0, 62.5), (62.5, 75.0)],
+            ],
+        )
+        touching = MultiPolygon(
+            [
+                Polygon([(0.0, 0.0), (50.0, 0.0), (50.0, 50.0), (0.0, 50.0)],
+                        holes=[[(12.5, 12.5), (37.5, 12.5), (37.5, 37.5), (12.5, 37.5)]]),
+                Polygon([(50.0, 0.0), (100.0, 0.0), (100.0, 50.0), (50.0, 50.0)]),
+                noisy_convex_polygon(50.0, 75.0, 20.0, 16, seed=9),
+            ]
+        )
+        regions = [holed, touching]
+        batched = get_build_engine("suite").build_bound_batch(
+            regions, frame, epsilon, conservative=conservative
+        )
+        for region, swept in zip(regions, batched):
+            oracle = get_build_engine("python").build_bound(
+                region, frame, epsilon, conservative=conservative
+            )
+            assert cell_set(oracle) == cell_set(swept)
+            assert oracle.max_level == swept.max_level
+
     def test_empty_suite(self, frame):
         assert (
             HierarchicalRasterApproximation._build_frontier_suite(

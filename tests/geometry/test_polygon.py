@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,13 @@ class TestRing:
     def test_too_few_vertices(self):
         with pytest.raises(GeometryError):
             Ring([(0, 0), (1, 1)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vertex_rejected(self, bad):
+        with pytest.raises(GeometryError, match="finite"):
+            Ring([(0, 0), (1, bad), (1, 1)])
+        with pytest.raises(GeometryError, match="finite"):
+            Polygon([(0, 0), (4, 0), (4, 4)], holes=[[(1, 1), (bad, 1), (2, 2)]])
 
     def test_signed_area_orientation(self):
         ccw = Ring([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -39,6 +48,38 @@ class TestRing:
         segs = list(ring.segments())
         assert len(segs) == 3
         assert segs[-1].end == Point(0.0, 0.0)
+
+
+class TestSlabTableCache:
+    """The cached edge table is derived state: it never travels or counts."""
+
+    def test_built_lazily_once(self, unit_square):
+        fresh = Polygon(unit_square.exterior.coords, [h.coords for h in unit_square.holes])
+        assert fresh.exterior._slabs is None
+        fresh.contains_points(np.array([1.0]), np.array([1.0]))
+        table = fresh.exterior._slabs
+        assert table is not None
+        fresh.contains_points(np.array([2.0]), np.array([2.0]))
+        assert fresh.exterior._slabs is table
+
+    def test_not_pickled(self, unit_square):
+        fresh = Polygon(unit_square.exterior.coords, [h.coords for h in unit_square.holes])
+        fresh.bounds()  # the (small) cached bounding box does travel
+        cold = pickle.dumps(fresh)
+        xs, ys = np.array([1.0, 5.0, 4.0]), np.array([1.0, 5.0, 5.0])
+        want = fresh.contains_points(xs, ys)
+        assert pickle.dumps(fresh) == cold
+        clone = pickle.loads(cold)
+        assert all(ring._slabs is None for ring in clone.rings())
+        np.testing.assert_array_equal(clone.contains_points(xs, ys), want)
+
+    def test_not_fingerprinted(self, unit_square):
+        from repro.api.fingerprint import region_fingerprint
+
+        fresh = Polygon(unit_square.exterior.coords, [h.coords for h in unit_square.holes])
+        before = region_fingerprint(fresh)
+        fresh.contains_points(np.array([1.0]), np.array([1.0]))
+        assert region_fingerprint(fresh) == before == region_fingerprint(unit_square)
 
 
 class TestPolygon:

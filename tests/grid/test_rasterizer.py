@@ -92,6 +92,24 @@ class TestPolygonRasterization:
         assert len(boxes) == raster.num_boundary_cells
 
 
+class TestBoundarySegmentArray:
+    def test_same_floats_and_order_as_segment_iteration(self, unit_square):
+        """Parts in order, exterior before holes, closing segment last."""
+        region = MultiPolygon(
+            [unit_square, noisy_convex_polygon(30.0, 5.0, 3.5, 24, seed=2),
+             unit_square.translated(50.0, 0.5)]
+        )
+        want = [
+            [seg.start.x, seg.start.y, seg.end.x, seg.end.y]
+            for seg in region.boundary_segments()
+        ]
+        got = _boundary_segment_array(region)
+        assert got.dtype == np.float64
+        assert got.tolist() == want
+        first_part = _boundary_segment_array(unit_square)
+        assert first_part.tolist() == want[: unit_square.num_vertices]
+
+
 class TestBatchedSegmentMarking:
     """`_mark_segments_cells` ≡ the per-segment scalar oracle, bit for bit."""
 
