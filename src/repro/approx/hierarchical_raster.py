@@ -46,6 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.approx.base import GeometricApproximation, as_point_arrays
+from repro.arrays import expand_slices, isin_sorted
 from repro.curves.cellid import CellId, children_codes
 from repro.curves.morton import MAX_LEVEL, morton_decode_array
 from repro.errors import ApproximationError, CurveError
@@ -566,8 +567,6 @@ class HierarchicalRasterApproximation(GeometricApproximation):
         is exactly frontier order — so both backends emit the identical cell
         set, boundary flags included.
         """
-        from repro.index.csr import expand_slices
-
         slabs = RegionSlabs([region])
         num_segments = slabs.segments.shape[0]
         seg_boxes = _segment_bboxes(slabs.segments)
@@ -709,8 +708,6 @@ class HierarchicalRasterApproximation(GeometricApproximation):
         emitted cell set — codes, levels and boundary flags — matches both
         existing backends exactly.
         """
-        from repro.index.csr import expand_slices
-
         max_level = min(max_level, MAX_LEVEL)
         num = len(regions)
         if num == 0:
@@ -960,10 +957,6 @@ class HierarchicalRasterApproximation(GeometricApproximation):
         return self._level_codes
 
     def covers_points(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        # Deferred import: repro.index imports this module at package-init
-        # time, so a top-level import of repro.index.csr would be circular.
-        from repro.index.csr import isin_sorted
-
         xs, ys = as_point_arrays(xs, ys)
         result = np.zeros(xs.size, dtype=bool)
         if xs.size == 0:

@@ -15,6 +15,7 @@ from enum import Enum
 
 import numpy as np
 
+from repro.arrays import expand_slices
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import Point
 from repro.geometry.polygon import MultiPolygon, Polygon, Ring
@@ -234,8 +235,6 @@ class RegionSlabs:
         it is inside or on the exterior and not strictly inside a hole, and
         inside the region if inside any part.
         """
-        from repro.index.csr import expand_slices
-
         result = np.zeros(xs.shape[0], dtype=bool)
         # (point, part) pairs that pass the part's bounding box.
         part0 = self._region_part0[region_ids]

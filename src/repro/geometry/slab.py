@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.arrays import expand_slices
+
 __all__ = ["SlabTable", "ring_segment_array"]
 
 #: Most (point, edge) pairs one kernel pass materialises; a pass holds about a
@@ -58,8 +60,6 @@ class SlabTable:
     )
 
     def __init__(self, segments: np.ndarray, ring_sizes) -> None:
-        from repro.index.csr import expand_slices
-
         x1, y1, x2, y2 = (np.ascontiguousarray(segments[:, k]) for k in range(4))
         # Per-edge constants, each the exact float the per-edge loop computes.
         self._xi, self._yi, self._yj = x1, y1, y2
@@ -112,8 +112,6 @@ class SlabTable:
         crosses the ring an odd number of times, and whether the point lies
         within ``1e-9`` of one of its edges.
         """
-        from repro.index.csr import expand_slices
-
         n = xs.shape[0]
         odd = np.zeros(n, dtype=bool)
         on_boundary = np.zeros(n, dtype=bool)

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.arrays import expand_slices
 from repro.errors import ApproximationError
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.polygon import MultiPolygon, Polygon
@@ -153,10 +154,6 @@ def _grid_line_crossings(
     arithmetic of the scalar :func:`_mark_segment_cells`, so the batched
     kernel reproduces its floats bit for bit.
     """
-    # Deferred import mirroring _scanline_fill_polygon: repro.index reaches
-    # this module through the approx package at init time.
-    from repro.index.csr import expand_slices
-
     lo = np.minimum(c0, c1)
     hi = np.maximum(c0, c1)
     first = np.ceil((lo - origin) / step).astype(np.int64)
@@ -284,11 +281,6 @@ def _scanline_fill_polygon(grid: UniformGrid, poly: Polygon, mask: np.ndarray) -
         iy0 - 1,
         iy1,
     )
-    # Deferred import: repro.index reaches this module through the approx
-    # package at init time, so a top-level import of repro.index.csr would be
-    # circular (same pattern as HierarchicalRasterApproximation.covers_points).
-    from repro.index.csr import expand_slices
-
     counts = np.maximum(row_to - row_from + 1, 0)
     if int(counts.sum()) == 0:
         return

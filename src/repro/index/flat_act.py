@@ -12,11 +12,12 @@ provides the batch-probe representation: the trie is flattened **once** into
   all of its polygon ids.
 
 A batch lookup then encodes all probe points at the finest level with
-:meth:`repro.curves.cellid.CellId.encode_points`, shifts the codes to each
-stored level, and resolves every level with one ``searchsorted`` — the trie
-walk of §3 becomes a handful of vectorised array passes with **no Python work
-per point**, which is what the paper's "no exact geometric test is needed"
-speed argument requires of the hot path.
+:meth:`repro.curves.cellid.CellId.encode_points`, deduplicates and sorts the
+codes, and resolves every stored level with one ``searchsorted`` of that
+level's *distinct* prefixes (:meth:`FlatACT.lookup_codes`) — the trie walk of
+§3 becomes a merge of two sorted key sets in a handful of vectorised array
+passes with **no Python work per point**, which is what the paper's "no exact
+geometric test is needed" speed argument requires of the hot path.
 
 Live polygon suites
 -------------------
@@ -33,12 +34,12 @@ compaction design, a mutated index holds **per-generation posting segments**:
   *slot* ids, and :attr:`_dense_of_slot` maps each slot to its current
   position in the suite (``-1`` = removed / superseded).
 
-Probes union-merge all segments per level with the same batch kernels and
-re-sort each level's matches into ascending dense-id order, so every lookup
+Probes union-merge all segments per level inside the one batch kernel and
+re-sort each cell's matches into ascending dense-id order, so every lookup
 stays **bit-identical** to a from-scratch build of the current suite.
 :meth:`consolidate` splices the segments back into one base CSR that
-reproduces :meth:`FlatACT.build`'s exact arrays.  A consolidated index pays
-zero overhead: the probe paths keep their original single-segment fast path.
+reproduces :meth:`FlatACT.build`'s exact arrays.  A consolidated index skips
+the slot mapping and the re-sort; everything else is shared.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ import itertools
 
 import numpy as np
 
+from repro.arrays import csr_from_chunks, expand_slices, isin_sorted
 from repro.errors import IndexError_
-from repro.index.csr import csr_from_chunks, expand_slices, isin_sorted
 
 __all__ = ["FlatACT", "concat_cell_arrays"]
 
@@ -653,97 +654,113 @@ class FlatACT:
     # ------------------------------------------------------------------ #
     # batch lookups
     # ------------------------------------------------------------------ #
-    def _level_numbers(self) -> list[int]:
-        """Ascending union of populated level numbers across all segments."""
-        numbers = {level for level, _, _, _ in self._levels}
-        for segment in self._deltas:
-            numbers.update(level for level, _, _, _ in segment)
-        return sorted(numbers)
-
     def lookup_codes(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """CSR matches for finest-level cell codes.
 
         Parameters
         ----------
         codes:
-            ``uint64`` Morton codes of the probe cells at :attr:`max_level`.
+            Morton codes of the probe cells at :attr:`max_level`, in any
+            order and with any number of repeats (anything ``np.asarray``
+            turns into ``uint64``).
 
         Returns
         -------
         offsets, polygon_ids:
             ``offsets`` has length ``len(codes) + 1``; the polygon ids matching
             probe ``k`` are ``polygon_ids[offsets[k]:offsets[k + 1]]``, ordered
-            coarse-to-fine exactly like the scalar trie walk.
+            coarse-to-fine exactly like the scalar trie walk, ascending
+            polygon id within one level.
+
+        The probe resolves **distinct cells, not points**.  Points and cells
+        live on one Morton curve, so the codes are deduplicated and sorted
+        once (``np.unique``) and the populated levels are walked finest to
+        coarsest: a right shift keeps Morton order, so each level's prefixes
+        are deduplicated by comparing neighbours, every ``searchsorted`` sees
+        a short *sorted* needle array, and a coarse cell owns a contiguous
+        run of the fine cells.  A level's matches are resolved per distinct
+        prefix — across the base and every delta segment, slots mapped to
+        dense ids, tombstones dropped, ``lexsort`` by ``(cell, dense id)``
+        when the index is not consolidated — and expanded over that run.
+
+        The matches of the distinct fine cells are assembled coarse-to-fine
+        into a small cell-major CSR, and each point gathers its cell's list
+        through the inverse map of the deduplication, which puts the pairs
+        back in the caller's point order.  A point sees exactly one cell per
+        level and a fresh build lists a cell's postings in ascending polygon
+        id, so the arrays are bit-identical to a per-point, per-level probe
+        of a from-scratch build.  Nothing is kept between calls.
         """
-        codes = np.asarray(codes, dtype=np.uint64)
-        if self._dense_of_slot is not None:
-            return self._lookup_codes_delta(codes)
+        codes = np.asarray(codes, dtype=np.uint64).reshape(-1)
         n = codes.shape[0]
-        point_chunks: list[np.ndarray] = []
-        pid_chunks: list[np.ndarray] = []
-        for level, keys, level_offsets, level_pids in self._levels:
-            shifted = codes >> np.uint64(2 * (self.max_level - level))
-            hit, pos = isin_sorted(keys, shifted, return_positions=True)
-            if not hit.any():
-                continue
-            hit_pos = pos[hit]
-            starts = level_offsets[hit_pos]
-            counts = level_offsets[hit_pos + 1] - starts
-            if int(counts.sum()) == 0:
-                continue
-            pid_chunks.append(level_pids[expand_slices(starts, counts)])
-            point_chunks.append(np.repeat(np.flatnonzero(hit), counts))
-
-        # Chunks are appended in ascending level order, so the stable CSR
-        # assembly yields each probe's matches coarse-to-fine — the same order
-        # as the scalar trie walk.
-        return csr_from_chunks(point_chunks, pid_chunks, n)
-
-    def _lookup_codes_delta(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Union-merged probe across the base and every delta segment.
-
-        A probe point maps to exactly one cell per level, and a fresh build
-        lists a cell's postings in ascending polygon-id order — so gathering
-        each level across segments, dropping tombstones, mapping slots to
-        dense ids and re-sorting by ``(point, dense)`` reproduces the
-        from-scratch match order bit for bit.
-        """
-        n = codes.shape[0]
-        dense_of_slot = self._dense_of_slot
-        segments = [self._levels, *self._deltas]
         by_level: dict[int, list] = {}
-        for segment in segments:
+        for segment in [self._levels, *self._deltas]:
             for level, keys, offsets, pids in segment:
                 by_level.setdefault(level, []).append((keys, offsets, pids))
-        point_chunks: list[np.ndarray] = []
-        pid_chunks: list[np.ndarray] = []
-        for level in sorted(by_level):
-            shifted = codes >> np.uint64(2 * (self.max_level - level))
-            point_parts: list[np.ndarray] = []
-            dense_parts: list[np.ndarray] = []
+        if n == 0 or not by_level:
+            return np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
+
+        cells, inverse = np.unique(codes, return_inverse=True)
+        # NumPy 2.0-2.2 shaped the inverse like the input, not like a vector.
+        inverse = inverse.reshape(-1)
+        num_cells = cells.shape[0]
+        dense_of_slot = self._dense_of_slot
+
+        # ``prefixes`` are the distinct cells of the level being probed and
+        # ``first[i]:first[i + 1]`` is the run of fine cells under prefix i.
+        prefixes = cells
+        first = np.arange(num_cells + 1, dtype=np.int64)
+        at_level = self.max_level
+        cell_chunks: list[np.ndarray] = []
+        id_chunks: list[np.ndarray] = []
+        for level in sorted(by_level, reverse=True):
+            shifted = prefixes >> np.uint64(2 * (at_level - level))
+            at_level = level
+            boundary = np.ones(shifted.shape[0], dtype=bool)
+            boundary[1:] = shifted[1:] != shifted[:-1]
+            prefixes = shifted[boundary]
+            first = np.append(first[:-1][boundary], num_cells)
+
+            owner_parts: list[np.ndarray] = []
+            id_parts: list[np.ndarray] = []
             for keys, offsets, pids in by_level[level]:
-                hit, pos = isin_sorted(keys, shifted, return_positions=True)
-                if not hit.any():
+                hit, pos = isin_sorted(keys, prefixes, return_positions=True)
+                owners = np.flatnonzero(hit)
+                if owners.shape[0] == 0:
                     continue
-                hit_pos = pos[hit]
+                hit_pos = pos[owners]
                 starts = offsets[hit_pos]
                 counts = offsets[hit_pos + 1] - starts
-                if int(counts.sum()) == 0:
-                    continue
-                dense = dense_of_slot[pids[expand_slices(starts, counts)]]
-                live = dense >= 0
-                if not live.any():
-                    continue
-                point_parts.append(np.repeat(np.flatnonzero(hit), counts)[live])
-                dense_parts.append(dense[live])
-            if not point_parts:
+                ids = pids[expand_slices(starts, counts)]
+                owners = np.repeat(owners, counts)
+                if dense_of_slot is not None:
+                    ids = dense_of_slot[ids]
+                    live = ids >= 0
+                    ids, owners = ids[live], owners[live]
+                owner_parts.append(owners)
+                id_parts.append(ids)
+            if not owner_parts:
                 continue
-            points = np.concatenate(point_parts)
-            dense = np.concatenate(dense_parts)
-            order = np.lexsort((dense, points))
-            point_chunks.append(points[order])
-            pid_chunks.append(dense[order])
-        return csr_from_chunks(point_chunks, pid_chunks, n)
+            owners = np.concatenate(owner_parts)
+            ids = np.concatenate(id_parts)
+            if dense_of_slot is not None:
+                # Segments and superseded slots interleave dense ids; a fresh
+                # build lists every cell's postings ascending.
+                order = np.lexsort((ids, owners))
+                owners, ids = owners[order], ids[order]
+            runs = first[owners + 1] - first[owners]
+            cell_chunks.append(expand_slices(first[owners], runs))
+            id_chunks.append(np.repeat(ids, runs))
+
+        # The walk ran fine to coarse; the stable CSR assembly keeps chunk
+        # order within a cell, so reversing yields coarse-to-fine.
+        cell_offsets, cell_ids = csr_from_chunks(
+            cell_chunks[::-1], id_chunks[::-1], num_cells
+        )
+        counts = np.diff(cell_offsets)[inverse]
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        return offsets, cell_ids[expand_slices(cell_offsets[inverse], counts)]
 
     def lookup_point(self, x: float, y: float) -> list[int]:
         """Matches of a single point, coarse-to-fine (thin scalar path).

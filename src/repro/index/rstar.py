@@ -26,10 +26,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.arrays import csr_from_chunks
 from repro.errors import IndexError_
 from repro.geometry.bbox import BoundingBox
 from repro.index.base import SpatialPointIndex
-from repro.index.csr import csr_from_chunks
 
 __all__ = ["RStarTree", "RTreeEntry"]
 

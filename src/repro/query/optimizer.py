@@ -168,13 +168,13 @@ def _estimate_act_cost(
 def _estimate_shape_index_cost(
     regions: list[Region],
     num_points: int,
-    extent: BoundingBox,
+    exact: float,
     model: CostModel,
     max_cells_per_shape: int = 32,
 ) -> float:
+    """Covering-plan cost from the suite's exact cost (``_estimate_exact_cost``)."""
     if not regions:
         return 0.0
-    exact = _estimate_exact_cost(regions, num_points, extent, model)
     pip_share = exact - num_points * model.filter_cost
     build = len(regions) * max_cells_per_shape * model.covering_cell_cost
     return num_points * model.filter_cost + pip_share * model.covering_tightness + build
@@ -234,6 +234,9 @@ def choose_plan(
             extent = extent.union(region.bounds())
 
     n = len(points) if num_points is None else int(num_points)
+    # Every exact-family strategy prices the same per-region PIP loop, and the
+    # report below wants it even when none of them competes: run it once.
+    exact = _estimate_exact_cost(regions, n, extent, model)
     costs: dict[str, float] = {}
     for name in candidates:
         if name == "raster":
@@ -241,15 +244,15 @@ def choose_plan(
         elif name == "act":
             costs[name] = _estimate_act_cost(regions, n, query.epsilon, model)
         elif name in ("exact", "rtree"):
-            costs[name] = _estimate_exact_cost(regions, n, extent, model)
+            costs[name] = exact
         elif name == "shape-index":
-            costs[name] = _estimate_shape_index_cost(regions, n, extent, model)
+            costs[name] = _estimate_shape_index_cost(regions, n, exact, model)
 
     # The exact device cost is always worth reporting, even when no exact
     # strategy competes (the legacy two-way report shows both numbers).
     exact_cost = min(
         (costs[name] for name in costs if name not in _APPROXIMATE),
-        default=_estimate_exact_cost(regions, n, extent, model),
+        default=exact,
     )
     raster_cost = min(
         (costs[name] for name in costs if name in _APPROXIMATE),

@@ -33,9 +33,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.arrays import isin_sorted
 from repro.errors import StoreError
 from repro.grid.uniform_grid import GridFrame
-from repro.index.csr import isin_sorted
 from repro.index.sorted_array import SortedCodeArray
 
 __all__ = ["Run", "encode_points_at"]

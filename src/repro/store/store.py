@@ -41,12 +41,12 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.arrays import isin_sorted
 from repro.durable import faults
 from repro.durable import wal as walog
 from repro.errors import StoreError, WalError
 from repro.geometry.point import PointSet
 from repro.grid.uniform_grid import GridFrame
-from repro.index.csr import isin_sorted
 from repro.obs import trace
 from repro.obs.log import get_logger
 from repro.store.memtable import MemTable

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from oracles.act_level_loop import assert_kernel_matches_loop
 
 from repro.curves import CellId
 from repro.data import NYCWorkload
@@ -69,6 +73,90 @@ class TestAgainstScalarTrie:
         np.testing.assert_array_equal(offsets_a, offsets_b)
         np.testing.assert_array_equal(pids_a, pids_b)
         assert via_dfs.num_cells == via_pairs.num_cells
+
+
+class TestKernelEqualsLevelLoop:
+    """The cell-deduplicated ``lookup_codes`` against the per-point level loop."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), polygons=st.integers(1, 6))
+    def test_arbitrary_cells(self, seed, polygons):
+        """Random cells on every level, nested and shared by several polygons."""
+        rng = np.random.default_rng(seed)
+        frame = GridFrame(BoundingBox(0.0, 0.0, 64.0, 64.0))
+        max_level = 6
+        pairs = []
+        for polygon_id in range(polygons):
+            levels = rng.integers(0, max_level + 1, size=int(rng.integers(1, 30)))
+            # A narrow code range per level makes polygons collide on cells and
+            # puts fine cells under coarse ones.
+            cells = {(int(lv), int(rng.integers(0, min(4**lv, 12)))) for lv in levels}
+            pairs += [(level, code, polygon_id) for level, code in sorted(cells)]
+        assert_kernel_matches_loop(FlatACT.from_pairs(frame, max_level, pairs), rng)
+
+    @pytest.fixture()
+    def flat(self, nyc):
+        trie, _ = nyc
+        return trie.flattened()
+
+    def test_empty_code_array(self, flat):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for codes in (np.empty(0), np.empty(0, dtype=np.uint64), []):
+                offsets, ids = flat.lookup_codes(codes)
+                assert offsets.tolist() == [0]
+                assert offsets.dtype == ids.dtype == np.int64 and ids.size == 0
+
+    def test_index_without_a_populated_level(self):
+        frame = GridFrame(BoundingBox(0.0, 0.0, 16.0, 16.0))
+        codes = np.array([3, 3, 200, 0], dtype=np.uint64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            offsets, ids = FlatACT(frame, 4, []).lookup_codes(codes)
+        assert offsets.tolist() == [0, 0, 0, 0, 0]
+        assert offsets.dtype == ids.dtype == np.int64 and ids.size == 0
+
+    def test_every_polygon_tombstoned(self):
+        frame = GridFrame(BoundingBox(0.0, 0.0, 16.0, 16.0))
+        flat = FlatACT.from_pairs(frame, 4, [(1, 0, 0), (3, 5, 1), (3, 5, 0)])
+        codes = np.arange(256, dtype=np.uint64)
+        assert flat.lookup_codes(codes)[1].size > 0
+        flat.remove_polygons([0, 1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            offsets, ids = flat.lookup_codes(codes)
+        assert not offsets.any() and offsets.shape == (257,)
+        assert offsets.dtype == ids.dtype == np.int64 and ids.size == 0
+
+    def test_foreign_dtype_and_strided_input(self, flat, nyc):
+        _, points = nyc
+        codes = flat.frame.points_to_codes(points.xs, points.ys, flat.max_level)
+        want_offsets, want_ids = flat.lookup_codes(codes)
+        strided = np.repeat(codes.astype(np.int64), 2)[::2]
+        assert not strided.flags.c_contiguous
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for foreign in (strided, codes.tolist()):
+                offsets, ids = flat.lookup_codes(foreign)
+                np.testing.assert_array_equal(offsets, want_offsets)
+                np.testing.assert_array_equal(ids, want_ids)
+
+    def test_out_of_frame_and_nan_points_match_nothing(self, flat, nyc):
+        """The frame mask stays in front of the kernel."""
+        _, points = nyc
+        xs = points.xs[:50].copy()
+        ys = points.ys[:50].copy()
+        want_offsets, want_ids = flat.lookup_points(xs, ys)
+        xs[::5] = np.nan
+        ys[1::5] = -1e9
+        offsets, ids = flat.lookup_points(xs, ys)
+        counts = np.diff(offsets)
+        dropped = np.zeros(50, dtype=bool)
+        dropped[::5] = dropped[1::5] = True
+        assert not counts[dropped].any()
+        np.testing.assert_array_equal(counts[~dropped], np.diff(want_offsets)[~dropped])
+        keep = np.repeat(~dropped, np.diff(want_offsets))
+        np.testing.assert_array_equal(ids, want_ids[keep])
 
 
 class TestLifecycle:

@@ -13,10 +13,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from oracles.act_level_loop import assert_kernel_matches_loop
 
 from repro.api.fingerprint import entry_fingerprints
 from repro.approx.build_engine import get_build_engine
 from repro.errors import IndexError_
+from repro.geometry import BoundingBox, Polygon
+from repro.grid import GridFrame
 from repro.index import FlatACT
 from repro.query.engine import get_engine
 
@@ -141,6 +145,55 @@ class TestRandomInterleavings:
         # The final consolidation must reproduce the oracle's exact arrays.
         live.consolidate()
         _assert_same_arrays(live, _fresh(current, frame))
+
+
+def _random_region(rng: np.random.Generator) -> Polygon:
+    """A star polygon or a cell-aligned box; both land on top of each other."""
+    if rng.random() < 0.4:
+        # Boxes on a 16-unit lattice share whole edges (touching polygons).
+        x0, y0 = (16.0 * rng.integers(1, 9, size=2)).tolist()
+        w, h = (16.0 * rng.integers(1, 4, size=2)).tolist()
+        return Polygon([(x0, y0), (x0 + w, y0), (x0 + w, y0 + h), (x0, y0 + h)])
+    cx, cy = rng.uniform(40.0, 150.0, size=2)
+    angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=int(rng.integers(5, 12))))
+    radii = rng.uniform(10.0, 45.0, size=angles.shape[0])
+    return Polygon(np.column_stack([cx + radii * np.cos(angles), cy + radii * np.sin(angles)]))
+
+
+class TestKernelEqualsLevelLoop:
+    """``lookup_codes`` vs the per-point level loop on live, patched suites."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        epsilon=st.sampled_from([16.0, 4.0]),
+        steps=st.integers(0, 6),
+    )
+    def test_random_suites_under_mutation(self, seed, epsilon, steps):
+        """Overlapping/touching suites, through patches, tombstones and consolidation."""
+        rng = np.random.default_rng(seed)
+        builder = get_build_engine(None)
+        # Polygons stay left of x = 200, so the right strip hits nothing.
+        frame = GridFrame(BoundingBox(0.0, 0.0, 256.0, 256.0))
+        cells = lambda regions: builder.build_cell_arrays(regions, frame, epsilon)  # noqa: E731
+        live = FlatACT.build(
+            [_random_region(rng) for _ in range(int(rng.integers(1, 6)))], frame, epsilon
+        )
+        assert_kernel_matches_loop(live, rng)
+        for _ in range(steps):
+            op = rng.choice(["replace", "remove", "add"])
+            if op == "add" or live.num_polygons == 0:
+                count = int(rng.integers(1, 3))
+                live.add_polygons(cells([_random_region(rng) for _ in range(count)]))
+            elif op == "replace":
+                position = int(rng.integers(0, live.num_polygons))
+                live.replace_polygon(position, cells([_random_region(rng)])[0])
+            else:
+                count = int(rng.integers(1, min(2, live.num_polygons) + 1))
+                live.remove_polygons(rng.choice(live.num_polygons, size=count, replace=False))
+            assert_kernel_matches_loop(live, rng)
+        live.consolidate()
+        assert_kernel_matches_loop(live, rng)
 
 
 class TestEdges:

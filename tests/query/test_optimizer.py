@@ -77,6 +77,38 @@ class TestOptimizer:
         assert choice.raster_cost > 0
         assert choice.exact_cost > 0
 
+    def test_exact_loop_priced_once_for_all_candidates(
+        self, taxi_points, neighborhoods, workload, monkeypatch
+    ):
+        """The per-region PIP loop runs once; every consumer gets its float."""
+        from repro.query import optimizer
+
+        real = optimizer._estimate_exact_cost
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(optimizer, "_estimate_exact_cost", spy)
+        choice = choose_plan(
+            taxi_points,
+            neighborhoods,
+            AggregationQuery(epsilon=10.0),
+            extent=workload.extent,
+            candidates=optimizer.STRATEGIES,
+        )
+        assert len(calls) == 1
+        exact = real(*calls[0])
+        model = optimizer.CostModel()
+        filtered = len(taxi_points) * model.filter_cost
+        covering = len(neighborhoods) * 32 * model.covering_cell_cost
+        assert choice.costs["exact"] == choice.costs["rtree"] == exact
+        assert choice.costs["shape-index"] == (
+            filtered + (exact - filtered) * model.covering_tightness + covering
+        )
+        assert choice.exact_cost == min(exact, choice.costs["shape-index"])
+
     def test_chosen_plans_execute_and_agree_with_reference(
         self, taxi_points, neighborhoods, workload
     ):
