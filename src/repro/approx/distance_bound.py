@@ -30,6 +30,7 @@ __all__ = [
     "cell_side_for_bound",
     "bound_for_cell_side",
     "level_for_bound",
+    "canvas_shape",
     "grid_for_bound",
     "DistanceBound",
 ]
@@ -62,13 +63,28 @@ def level_for_bound(frame: GridFrame, epsilon: float) -> int:
     return frame.level_for_cell_side(cell_side_for_bound(epsilon))
 
 
+def canvas_shape(extent: BoundingBox, epsilon: float) -> tuple[int, int]:
+    """Pixel resolution ``(nx, ny)`` of the canvas over ``extent`` for ``epsilon``.
+
+    The pixel side is :func:`cell_side_for_bound`; the counts round *up* so
+    the canvas covers the extent.  The Bounded Raster Join sizes its canvas
+    with this and the optimizer prices it with it, so both agree on the
+    number of device tiles.
+    """
+    cell_side = cell_side_for_bound(epsilon)
+    return (
+        max(1, math.ceil(extent.width / cell_side)),
+        max(1, math.ceil(extent.height / cell_side)),
+    )
+
+
 def grid_for_bound(extent: BoundingBox, epsilon: float) -> UniformGrid:
     """Uniform grid over ``extent`` whose cells honour ``epsilon``.
 
-    Used by the uniform raster approximation and by the Bounded Raster Join
-    to derive the canvas resolution from the distance bound.
+    Used by the uniform raster approximation; its resolution is the
+    :func:`canvas_shape` the Bounded Raster Join draws on.
     """
-    return UniformGrid.from_cell_size(extent, cell_side_for_bound(epsilon))
+    return UniformGrid(extent, *canvas_shape(extent, epsilon))
 
 
 @dataclass(frozen=True, slots=True)

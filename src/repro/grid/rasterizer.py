@@ -20,6 +20,13 @@ Three rasterization rules are supported for polygons:
 The returned :class:`RasterizedPolygon` exposes interior and boundary masks
 separately because the result-range estimation of §6 needs the partial
 aggregate over boundary cells.
+
+One fill mechanism serves every caller: :func:`scanline_spans` rasterizes a
+whole polygon suite at cell-centre sampling in one batched pass over (edge,
+row) pairs, each region on its own window grid, and returns the covered
+cells as ``(region, row, col_from, col_to)`` spans.  The Bounded Raster Join
+runs it once per canvas tile for the whole suite; :func:`rasterize_polygon`
+runs it on one region with the grid itself as the window.
 """
 
 from __future__ import annotations
@@ -37,8 +44,10 @@ from repro.grid.uniform_grid import UniformGrid
 
 __all__ = [
     "RasterizedPolygon",
+    "SuiteEdges",
     "rasterize_polygon",
     "rasterize_points",
+    "scanline_spans",
     "FillRule",
 ]
 
@@ -232,112 +241,186 @@ def _mark_segments_cells(grid: UniformGrid, mask: np.ndarray, segs: np.ndarray) 
         mask[iy, ix] = True
 
 
-def _polygon_edges(poly: Polygon) -> np.ndarray:
-    """All ring edges of a polygon as an ``(m, 4)`` array of ``(x1, y1, x2, y2)``."""
-    rows = []
-    for ring in poly.rings():
-        coords = ring.coords
-        nxt = np.roll(coords, -1, axis=0)
-        rows.append(np.column_stack([coords, nxt]))
-    return np.vstack(rows)
+@dataclass(frozen=True, slots=True)
+class SuiteEdges:
+    """Every ring edge of a polygon suite, tagged with its polygon part.
 
-
-def _scanline_fill_polygon(grid: UniformGrid, poly: Polygon, mask: np.ndarray) -> None:
-    """Even-odd scanline fill of one polygon at cell-centre sampling.
-
-    The crossings of every polygon edge (exterior and holes) with every row's
-    centre line are computed in one batch over (edge, row) pairs, sorted per
-    row, paired even-odd and written as column spans through a difference
-    plane — the classic active-edge fill, fully vectorised.  Counting hole
-    edges together with exterior edges makes the even-odd rule carve holes
-    out automatically.  The cost is ``O(crossings log crossings + window
-    area)`` with numpy constants, which is what makes canvas-resolution
-    rasterization feasible for the Bounded Raster Join (the canvas build
-    phase of one tile is exactly this fill run per polygon).
+    A *part* is one :class:`Polygon` — a :class:`MultiPolygon` region has
+    several.  Parts keep their bounds (``(P, 4)`` rows ``min_x, min_y, max_x,
+    max_y``) and their region; edges are ``(x1, y1) -> (x2, y2)`` with the
+    closing edge of each ring last, exactly the floats of
+    :func:`~repro.geometry.slab.ring_segment_array`.
     """
-    box = poly.bounds().intersection(grid.extent)
-    if box is None:
-        return
-    edges = _polygon_edges(poly)
-    x1 = edges[:, 0]
-    y1 = edges[:, 1]
-    x2 = edges[:, 2]
-    y2 = edges[:, 3]
-    _, iy0, _, iy1 = grid.cells_overlapping(box)
-    centers_x0 = grid.extent.min_x + 0.5 * grid.cell_width
+
+    part_region: np.ndarray
+    part_bounds: np.ndarray
+    edge_part: np.ndarray
+    x1: np.ndarray
+    y1: np.ndarray
+    x2: np.ndarray
+    y2: np.ndarray
+
+    @classmethod
+    def of(cls, regions: list[Polygon | MultiPolygon]) -> SuiteEdges:
+        part_region: list[int] = []
+        part_bounds: list[tuple[float, float, float, float]] = []
+        ring_part: list[int] = []
+        coords: list[np.ndarray] = []
+        for r, region in enumerate(regions):
+            for part in region.polygons if isinstance(region, MultiPolygon) else (region,):
+                ring_part.extend([len(part_region)] * (1 + len(part.holes)))
+                coords.extend(ring.coords for ring in part.rings())
+                part_region.append(r)
+                part_bounds.append(part.bounds().as_tuple())
+        sizes = np.array([ring.shape[0] for ring in coords], dtype=np.int64)
+        xy = np.concatenate(coords) if coords else np.empty((0, 2), dtype=np.float64)
+        # Each vertex's successor on its ring, wrapping at the ring's end.
+        ends = np.cumsum(sizes)
+        successor = np.arange(1, xy.shape[0] + 1)
+        successor[ends - 1] = ends - sizes
+        return cls(
+            part_region=np.array(part_region, dtype=np.int64),
+            part_bounds=np.array(part_bounds, dtype=np.float64).reshape(-1, 4),
+            edge_part=np.repeat(np.array(ring_part, dtype=np.int64), sizes),
+            x1=xy[:, 0],
+            y1=xy[:, 1],
+            x2=xy[successor, 0],
+            y2=xy[successor, 1],
+        )
+
+
+def _group_starts(*keys: np.ndarray) -> np.ndarray:
+    """Mask of the first element of every run of equal key tuples (sorted input)."""
+    start = np.ones(keys[0].shape[0], dtype=bool)
+    start[1:] = np.logical_or.reduce([key[1:] != key[:-1] for key in keys])
+    return start
+
+
+def scanline_spans(
+    edges: SuiteEdges, windows: np.ndarray, shapes: np.ndarray, active: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Sample-at-centre spans of many regions, each on its own window grid.
+
+    Region ``r`` (selected by ``active[r]``) is rasterized on the
+    ``shapes[r] = (nx, ny)`` grid over the window box ``windows[r] = (min_x,
+    min_y, max_x, max_y)``: a cell is covered iff its centre lies strictly
+    between an even-odd pair of the crossings of the part's edges with the
+    cell row's centre line.  Every (edge, row) pair of every part runs in one
+    batch: crossings are sorted by ``(part, row, x)`` and paired even-odd per
+    part — counting hole edges with exterior edges carves the holes — and
+    the spans of a region's parts are unioned per row.  The window arithmetic
+    (cell size ``width / nx``, centre rows, crossing abscissae, column
+    rounding and the row clip to each part's bounds) is the float sequence of
+    a single-window fill, so the coverage is bit-identical to filling each
+    region alone.
+
+    Returns ``(region, row, col_from, col_to)`` with inclusive window-local
+    columns, sorted by ``(region, row, col_from)``; the spans of one
+    ``(region, row)`` are disjoint and non-adjacent, so they list every
+    covered cell once, in row-major order.
+    """
+    # The parts of active regions whose bounds meet their region's window.
+    parts = np.flatnonzero(active[edges.part_region])
+    win = windows[edges.part_region[parts]]
+    b = edges.part_bounds[parts]
+    meets = ~((win[:, 0] > b[:, 2]) | (win[:, 2] < b[:, 0]) | (win[:, 1] > b[:, 3]) | (win[:, 3] < b[:, 1]))
+    parts = parts[meets]
+    pr = edges.part_region[parts]
+    win = win[meets]
+    b = b[meets]
+    nx = shapes[pr, 0]
+    ny = shapes[pr, 1]
+    cw = (win[:, 2] - win[:, 0]) / nx
+    ch = (win[:, 3] - win[:, 1]) / ny
+    # Rows of the cells the part's bounds (clipped to the window) overlap.
+    iy0 = np.clip(np.floor((np.maximum(b[:, 1], win[:, 1]) - win[:, 1]) / ch), 0, ny - 1).astype(np.int64)
+    iy1 = np.clip(np.floor((np.minimum(b[:, 3], win[:, 3]) - win[:, 1]) / ch), 0, ny - 1).astype(np.int64)
 
     # Candidate row range per edge (generous by construction); the exact
-    # centre-line crossing condition is re-checked on the expanded pairs, so
-    # the fill matches the per-row formulation bit for bit.
-    y_lo = np.minimum(y1, y2)
-    y_hi = np.maximum(y1, y2)
+    # centre-line crossing condition is re-checked on the expanded pairs.
+    local = np.full(edges.part_region.shape[0], -1, dtype=np.int64)
+    local[parts] = np.arange(parts.shape[0])
+    part = local[edges.edge_part]
+    e = np.flatnonzero(part >= 0)
+    part = part[e]
+    x1, y1, x2, y2 = edges.x1[e], edges.y1[e], edges.x2[e], edges.y2[e]
+    wy0 = win[part, 1]
+    ech = ch[part]
     row_from = np.clip(
-        np.floor((y_lo - grid.extent.min_y) / grid.cell_height - 0.5).astype(np.int64),
-        iy0,
-        iy1 + 1,
+        np.floor((np.minimum(y1, y2) - wy0) / ech - 0.5).astype(np.int64),
+        iy0[part],
+        iy1[part] + 1,
     )
     row_to = np.clip(
-        np.ceil((y_hi - grid.extent.min_y) / grid.cell_height + 0.5).astype(np.int64),
-        iy0 - 1,
-        iy1,
+        np.ceil((np.maximum(y1, y2) - wy0) / ech + 0.5).astype(np.int64),
+        iy0[part] - 1,
+        iy1[part],
     )
     counts = np.maximum(row_to - row_from + 1, 0)
-    if int(counts.sum()) == 0:
-        return
-    pair_edge = np.repeat(np.arange(edges.shape[0]), counts)
-    pair_row = expand_slices(row_from, counts)
-
-    yc = grid.extent.min_y + (pair_row + 0.5) * grid.cell_height
-    ya = y1[pair_edge]
-    yb = y2[pair_edge]
-    crossing = (ya > yc) != (yb > yc)
-    if not crossing.any():
-        return
-    pair_row = pair_row[crossing]
-    e = pair_edge[crossing]
+    pair = np.repeat(np.arange(e.shape[0]), counts)
+    row = expand_slices(row_from, counts)
+    yc = wy0[pair] + (row + 0.5) * ech[pair]
+    crossing = (y1[pair] > yc) != (y2[pair] > yc)
+    pair = pair[crossing]
+    row = row[crossing]
     yc = yc[crossing]
-    x_cross = x1[e] + (yc - y1[e]) * (x2[e] - x1[e]) / (y2[e] - y1[e])
+    x_cross = x1[pair] + (yc - y1[pair]) * (x2[pair] - x1[pair]) / (y2[pair] - y1[pair])
+    part = part[pair]
 
-    # Sort crossings by (row, x) and pair them even-odd within each row.
-    order = np.lexsort((x_cross, pair_row))
-    rows_sorted = pair_row[order]
-    x_sorted = x_cross[order]
-    row_start = np.ones(rows_sorted.shape[0], dtype=bool)
-    row_start[1:] = rows_sorted[1:] != rows_sorted[:-1]
-    rank = np.arange(rows_sorted.shape[0]) - np.repeat(
-        np.flatnonzero(row_start), np.diff(np.append(np.flatnonzero(row_start), rows_sorted.shape[0]))
-    )
-    is_left = (rank % 2 == 0) & np.append(~row_start[1:], False)
-    lefts = x_sorted[is_left]
-    rights = x_sorted[np.flatnonzero(is_left) + 1]
-    span_rows = rows_sorted[is_left]
+    # Pair the crossings even-odd within each (part, row).
+    order = np.lexsort((x_cross, row, part))
+    part = part[order]
+    row = row[order]
+    x_cross = x_cross[order]
+    first = _group_starts(part, row)
+    group_first = np.flatnonzero(first)
+    rank = np.arange(part.shape[0]) - np.repeat(group_first, np.diff(np.append(group_first, part.shape[0])))
+    left = np.flatnonzero((rank % 2 == 0) & np.append(~first[1:], False))
+    part = part[left]
+    row = row[left]
+    # Columns whose centre lies in (left, right).
+    cx0 = win[part, 0] + 0.5 * cw[part]
+    col_from = np.maximum(np.ceil((x_cross[left] - cx0) / cw[part]).astype(np.int64), 0)
+    col_to = np.minimum(np.floor((x_cross[left + 1] - cx0) / cw[part]).astype(np.int64), nx[part] - 1)
+    valid = col_to >= col_from
+    region = pr[part[valid]]
+    row = row[valid]
+    col_from = col_from[valid]
+    col_to = col_to[valid]
+    if region.shape[0] == 0:
+        return region, row, col_from, col_to
 
-    # Columns whose centre lies in (left, right), via a difference plane.
-    i_from = np.maximum(np.ceil((lefts - centers_x0) / grid.cell_width).astype(np.int64), 0)
-    i_to = np.minimum(np.floor((rights - centers_x0) / grid.cell_width).astype(np.int64), grid.nx - 1)
-    valid = i_to >= i_from
-    if not valid.any():
-        return
-    i_from = i_from[valid]
-    i_to = i_to[valid]
-    span_rows = span_rows[valid]
-    # Difference plane over the polygon's row window only.
-    delta = np.zeros((iy1 - iy0 + 1, grid.nx + 1), dtype=np.int32)
-    np.add.at(delta, (span_rows - iy0, i_from), 1)
-    np.add.at(delta, (span_rows - iy0, i_to + 1), -1)
-    mask[iy0 : iy1 + 1] |= np.cumsum(delta[:, :-1], axis=1) > 0
+    # Union per (region, row): the OR over parts, and the one-cell overlap of
+    # two spans meeting at a centre.  Offsetting each group's columns past
+    # every column of the groups before it makes one running maximum
+    # group-local.
+    order = np.lexsort((col_from, row, region))
+    region = region[order]
+    row = row[order]
+    col_from = col_from[order]
+    col_to = col_to[order]
+    first = _group_starts(region, row)
+    stride = int(col_to.max()) + 2
+    offset = (np.cumsum(first) - 1) * stride
+    reach = np.maximum.accumulate(col_to + offset) - offset
+    merged = first.copy()
+    merged[1:] |= col_from[1:] > reach[:-1] + 1
+    starts = np.flatnonzero(merged)
+    last = np.append(starts[1:], merged.shape[0]) - 1
+    return region[starts], row[starts], col_from[starts], reach[last]
 
 
 def _center_fill(grid: UniformGrid, region: Polygon | MultiPolygon) -> np.ndarray:
-    """Centre-containment mask over the cells overlapping the region bounds."""
-    mask = np.zeros((grid.ny, grid.nx), dtype=bool)
-    box = region.bounds().intersection(grid.extent)
-    if box is None:
-        return mask
-    polygons = region.polygons if isinstance(region, MultiPolygon) else (region,)
-    for poly in polygons:
-        _scanline_fill_polygon(grid, poly, mask)
-    return mask
+    """Centre-containment mask of one region: the span kernel on the grid itself."""
+    _, rows, col_from, col_to = scanline_spans(
+        SuiteEdges.of([region]),
+        np.array([grid.extent.as_tuple()]),
+        np.array([[grid.nx, grid.ny]]),
+        np.ones(1, dtype=bool),
+    )
+    mask = np.zeros(grid.num_cells, dtype=bool)
+    mask[expand_slices(rows * grid.nx + col_from, col_to - col_from + 1)] = True
+    return mask.reshape(grid.ny, grid.nx)
 
 
 def rasterize_polygon(region: Polygon | MultiPolygon, grid: UniformGrid) -> tuple[RasterizedPolygon, np.ndarray]:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.approx.distance_bound import cell_side_for_bound
+from repro.approx.distance_bound import canvas_shape, cell_side_for_bound
 from repro.errors import QueryError
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import PointSet
@@ -117,9 +117,7 @@ class PlanChoice:
 def _estimate_raster_cost(
     extent: BoundingBox, epsilon: float, num_points: int, device: DeviceSpec, model: CostModel
 ) -> float:
-    cell_side = cell_side_for_bound(epsilon)
-    nx = max(1, int(extent.width / cell_side))
-    ny = max(1, int(extent.height / cell_side))
+    nx, ny = canvas_shape(extent, epsilon)
     pixels = nx * ny
     tiles_x = -(-nx // device.max_texture_size)
     tiles_y = -(-ny // device.max_texture_size)

@@ -4,15 +4,19 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from oracles.scanline_fill import center_fill_loop
 
 from repro.data import noisy_convex_polygon
 from repro.errors import ApproximationError
 from repro.geometry import BoundingBox, MultiPolygon, Polygon
 from repro.grid import UniformGrid, boundary_cell_boxes, rasterize_points, rasterize_polygon
 from repro.grid.rasterizer import (
+    SuiteEdges,
     _boundary_segment_array,
     _mark_segment_cells,
     _mark_segments_cells,
+    scanline_spans,
 )
 
 
@@ -154,6 +158,89 @@ class TestBatchedSegmentMarking:
         mask = np.zeros((20, 20), dtype=bool)
         _mark_segments_cells(grid, mask, np.empty((0, 4), dtype=np.float64))
         assert not mask.any()
+
+
+def _star_ring(rng, cx, cy, r_lo, r_hi, n, snap):
+    """A star-shaped ring; ``snap`` puts the vertices on a half-unit lattice,
+    so vertices and horizontal edges land exactly on cell centres and borders."""
+    angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+    radii = rng.uniform(r_lo, r_hi, n)
+    ring = np.column_stack([cx + radii * np.cos(angles), cy + radii * np.sin(angles)])
+    return np.round(ring * 2.0) / 2.0 if snap else ring
+
+
+def _star_polygon(rng, cx, cy, n, holes, snap):
+    exterior = _star_ring(rng, cx, cy, 3.0, 6.0, n, snap)
+    hole_rings = [
+        _star_ring(rng, cx + rng.uniform(-1.0, 1.0), cy + rng.uniform(-1.0, 1.0), 0.3, 1.5,
+                   int(rng.integers(4, 9)), snap)
+        for _ in range(holes)
+    ]
+    return Polygon(exterior, holes=hole_rings)
+
+
+def _random_region(rng, snap):
+    """A polygon with holes, or a multipolygon whose parts may overlap."""
+    if rng.uniform() < 0.5:
+        return _star_polygon(rng, 5.0, 5.0, int(rng.integers(4, 30)), int(rng.integers(0, 3)), snap)
+    return MultiPolygon([
+        _star_polygon(rng, *rng.uniform(1.0, 9.0, 2), int(rng.integers(4, 20)),
+                      int(rng.integers(0, 2)), snap)
+        for _ in range(int(rng.integers(2, 4)))
+    ])
+
+
+def _random_grid(rng):
+    """A grid whose extent and resolution are unrelated to the data lattice."""
+    x0, y0 = rng.uniform(-3.0, 6.0, 2)
+    w, h = rng.uniform(0.5, 14.0, 2)
+    return UniformGrid(BoundingBox(x0, y0, x0 + w, y0 + h), int(rng.integers(1, 60)),
+                       int(rng.integers(1, 60)))
+
+
+class TestSpanKernelAgainstLoopOracle:
+    """The suite-wide span kernel ≡ the per-part scanline fill it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), snap=st.booleans())
+    def test_center_mask_matches_loop(self, seed, snap):
+        rng = np.random.default_rng(seed)
+        region = _random_region(rng, snap)
+        for grid in (_random_grid(rng), UniformGrid(BoundingBox(0.0, 0.0, 10.0, 10.0), 20, 20)):
+            _, center = rasterize_polygon(region, grid)
+            np.testing.assert_array_equal(center, center_fill_loop(grid, region))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), snap=st.booleans())
+    def test_suite_spans_match_per_region_fills(self, seed, snap):
+        """One call over a suite, each region on its own window, some inactive."""
+        rng = np.random.default_rng(seed)
+        regions = [_random_region(rng, snap) for _ in range(int(rng.integers(1, 6)))]
+        grids = [_random_grid(rng) for _ in regions]
+        active = rng.uniform(size=len(regions)) < 0.8
+        region, row, col_from, col_to = scanline_spans(
+            SuiteEdges.of(regions),
+            np.array([g.extent.as_tuple() for g in grids]),
+            np.array([[g.nx, g.ny] for g in grids]),
+            active,
+        )
+        keys = np.column_stack([region, row, col_from])
+        assert (np.lexsort(keys.T[::-1]) == np.arange(keys.shape[0])).all()
+        for r, (poly, grid) in enumerate(zip(regions, grids)):
+            mask = np.zeros((grid.ny, grid.nx), dtype=int)
+            mine = region == r
+            for y, a, b in zip(row[mine], col_from[mine], col_to[mine]):
+                mask[y, a : b + 1] += 1
+            want = center_fill_loop(grid, poly) if active[r] else np.zeros_like(mask, dtype=bool)
+            # Every covered cell is listed exactly once.
+            np.testing.assert_array_equal(mask, want.astype(int))
+
+    def test_empty_suite(self):
+        spans = scanline_spans(
+            SuiteEdges.of([]), np.empty((0, 4)), np.empty((0, 2), dtype=np.int64),
+            np.empty(0, dtype=bool),
+        )
+        assert [a.shape for a in spans] == [(0,)] * 4
 
 
 class TestPointRasterization:

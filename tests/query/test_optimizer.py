@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from repro.errors import QueryError
-from repro.hardware import DeviceSpec
+from repro.geometry import BoundingBox, PointSet, Polygon
+from repro.hardware import DeviceSpec, SimulatedGPU
 from repro.query import (
     AggregationQuery,
     PlanContext,
+    bounded_raster_join,
     choose_plan,
     exact_join_reference,
     execute_plan,
@@ -18,6 +20,7 @@ from repro.query import (
     median_relative_error,
     raster_aggregation_plan,
 )
+from repro.query.optimizer import CostModel, _estimate_raster_cost
 
 
 class TestPlans:
@@ -108,6 +111,22 @@ class TestOptimizer:
             filtered + (exact - filtered) * model.covering_tightness + covering
         )
         assert choice.exact_cost == min(exact, choice.costs["shape-index"])
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_raster_pass_count_matches_brj(self, k):
+        """Just over ``k`` textures wide the canvas needs ``k + 1`` tile
+        columns; the planner must charge the passes BRJ actually runs."""
+        device = DeviceSpec(max_texture_size=16)
+        epsilon = 2.0**0.5  # one-unit pixels
+        extent = BoundingBox(0.0, 0.0, k * 16 + 0.5, 10.0)
+        passes_only = CostModel(pixel_cost=0.0, pass_cost=1.0, filter_cost=0.0)
+        planned = _estimate_raster_cost(extent, epsilon, 0, device, passes_only)
+        square = Polygon([(1.0, 1.0), (3.0, 1.0), (3.0, 3.0), (1.0, 3.0)])
+        result = bounded_raster_join(
+            PointSet([2.0], [2.0]), [square], epsilon, extent=extent, gpu=SimulatedGPU(device)
+        )
+        assert result.num_passes == k + 1
+        assert planned == result.num_passes
 
     def test_chosen_plans_execute_and_agree_with_reference(
         self, taxi_points, neighborhoods, workload
