@@ -12,20 +12,11 @@ Expected shape: ACT wins everywhere; the gap is largest for Boroughs (complex
 polygons make each PIP test expensive) and smallest for Census (simple
 polygons), and ACT pays for its speed with a much larger index.
 
-Every strategy runs once per probe engine (``REPRO_BENCH_ENGINES``, default
-both): the ``python`` backend is the original per-point index-nested loop, the
-``vectorized`` backend probes the whole point batch through the flattened
-index representations.  The ACT *build* phase (HR approximations + index
-load) additionally runs once per build engine
-(``REPRO_BENCH_BUILD_ENGINES``, default all three): the ``python`` backend is
-the per-cell recursion + per-insert trie oracle, the ``vectorized`` backend
-the per-region level-synchronous frontier sweep + FlatACT bulk load, and the
-``suite`` backend sweeps all regions' frontiers in one region-tagged batch
-per level, amortizing the per-level numpy overhead over the whole polygon
-suite.  Each run appends a
-JSON record with its engines, ``build_seconds`` / ``probe_seconds`` split and
-probe throughput (points/sec) so both perf trajectories across PRs stay
-comparable.
+The ACT *build* phase (suite-wide HR frontier sweep + FlatACT bulk load) is
+measured on its own, and every join probes its prebuilt index through the
+batch kernels.  Each run appends a JSON record with its ``build_seconds`` /
+``probe_seconds`` split and probe throughput (points/sec) so the perf
+trajectory across PRs stays comparable.
 
 The joins execute through the :class:`repro.api.SpatialDataset` facade — one
 dataset owns the suites and the polygon-index registry, every measurement is
@@ -42,18 +33,12 @@ import numpy as np
 import pytest
 
 from repro.api import SpatialDataset
-from repro.bench import (
-    append_run_record,
-    build_engines_from_env,
-    engines_from_env,
-    is_smoke_run,
-    run_record,
-)
+from repro.approx import get_build_engine
+from repro.bench import append_run_record, is_smoke_run, run_record
 from repro.query import (
     AggregationQuery,
     act_approximate_join,
     exact_join_reference,
-    get_build_engine,
     median_relative_error,
 )
 
@@ -64,11 +49,9 @@ from repro.query import (
 ACT_EPSILON = 32.0 if is_smoke_run() else 4.0
 
 SUITES = ("boroughs", "neighborhoods", "census")
-ENGINES = engines_from_env()
-BUILD_ENGINES = build_engines_from_env()
 
 
-def _emit(name: str, suite: str, engine: str, outcome) -> None:
+def _emit(name: str, suite: str, outcome) -> None:
     """Append the JSON run record of one facade join measurement."""
     result = outcome.result
     append_run_record(
@@ -76,8 +59,6 @@ def _emit(name: str, suite: str, engine: str, outcome) -> None:
             "fig6",
             f"{name}:{suite}",
             result.probe_seconds,
-            engine=engine,
-            build_engine=result.build_engine or None,
             num_points=result.index_probes,
             build_seconds=result.build_seconds + outcome.registry_build_seconds,
             probe_seconds=result.probe_seconds,
@@ -116,20 +97,17 @@ def dataset(join_points, polygon_suites, frame, workload):
     return ds
 
 
-@pytest.mark.parametrize("build_engine", BUILD_ENGINES)
 @pytest.mark.parametrize("suite", SUITES)
 def test_fig6_act_build(
-    benchmark, suite, build_engine, join_points, polygon_suites, frame, reference_counts
+    benchmark, suite, join_points, polygon_suites, frame, reference_counts
 ):
-    """ACT build phase per engine: HR approximations + index load.
+    """ACT build phase: suite-wide HR approximations + FlatACT bulk load.
 
-    The python oracle classifies one cell per call and inserts one trie node
-    per cell; the vectorized engine sweeps whole refinement levels and
-    bulk-loads a FlatACT.  Both indexes must answer the join identically —
-    the ``build_seconds`` records demonstrate the construction speedup.
+    The built index must drive the join to the paper's approximate answer;
+    the ``build_seconds`` records track the construction cost.
     """
     regions = polygon_suites[suite]
-    builder = get_build_engine(build_engine)
+    builder = get_build_engine(None)
 
     start = time.perf_counter()
     index = benchmark.pedantic(
@@ -143,13 +121,12 @@ def test_fig6_act_build(
 
     # The built index must drive the join to the same approximate answer.
     result = act_approximate_join(
-        join_points, regions, frame, epsilon=ACT_EPSILON, trie=index, build_engine=build_engine
+        join_points, regions, frame, epsilon=ACT_EPSILON, trie=index
     )
     error = median_relative_error(result.counts, reference_counts[suite])
     benchmark.extra_info.update(
         {
             "suite": suite,
-            "build_engine": build_engine,
             "num_cells": index.num_cells,
             "index_memory_bytes": index.memory_bytes(),
             "median_rel_error": round(error, 4),
@@ -160,7 +137,6 @@ def test_fig6_act_build(
             "fig6",
             f"act_build:{suite}",
             build_seconds,
-            build_engine=build_engine,
             build_seconds=build_seconds,
             probe_seconds=0.0,
             metrics={
@@ -172,15 +148,14 @@ def test_fig6_act_build(
     assert error < 0.05
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("suite", SUITES)
 def test_fig6_act_approximate_join(
-    benchmark, suite, engine, dataset, reference_counts
+    benchmark, suite, dataset, reference_counts
 ):
     outcome = benchmark.pedantic(
         dataset.join,
         args=(suite,),
-        kwargs={"strategy": "act", "epsilon": ACT_EPSILON, "engine": engine},
+        kwargs={"strategy": "act", "epsilon": ACT_EPSILON},
         rounds=1,
         iterations=1,
     )
@@ -189,7 +164,6 @@ def test_fig6_act_approximate_join(
     benchmark.extra_info.update(
         {
             "suite": suite,
-            "engine": engine,
             "pip_tests": result.pip_tests,
             "median_rel_error": round(error, 4),
             "index_memory_bytes": result.index_memory_bytes,
@@ -197,22 +171,21 @@ def test_fig6_act_approximate_join(
             "registry_hits": outcome.registry_hits,
         }
     )
-    _emit("act", suite, engine, outcome)
+    _emit("act", suite, outcome)
     assert result.pip_tests == 0
     # The warmed registry serves the probe: no rebuild inside the measurement.
     assert outcome.registry_misses == 0
     assert error < 0.05
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("suite", SUITES)
 def test_fig6_rstar_exact_join(
-    benchmark, suite, engine, dataset, reference_counts
+    benchmark, suite, dataset, reference_counts
 ):
     outcome = benchmark.pedantic(
         dataset.join,
         args=(suite,),
-        kwargs={"strategy": "rtree", "engine": engine},
+        kwargs={"strategy": "rtree"},
         rounds=1,
         iterations=1,
     )
@@ -220,25 +193,23 @@ def test_fig6_rstar_exact_join(
     benchmark.extra_info.update(
         {
             "suite": suite,
-            "engine": engine,
             "pip_tests": result.pip_tests,
             "index_memory_bytes": result.index_memory_bytes,
             "points_per_second": round(result.probe_throughput),
         }
     )
-    _emit("rtree", suite, engine, outcome)
+    _emit("rtree", suite, outcome)
     assert (result.counts == reference_counts[suite]).all()
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("suite", SUITES)
 def test_fig6_shape_index_exact_join(
-    benchmark, suite, engine, dataset, reference_counts
+    benchmark, suite, dataset, reference_counts
 ):
     outcome = benchmark.pedantic(
         dataset.join,
         args=(suite,),
-        kwargs={"strategy": "shape-index", "engine": engine},
+        kwargs={"strategy": "shape-index"},
         rounds=1,
         iterations=1,
     )
@@ -246,13 +217,12 @@ def test_fig6_shape_index_exact_join(
     benchmark.extra_info.update(
         {
             "suite": suite,
-            "engine": engine,
             "pip_tests": result.pip_tests,
             "index_memory_bytes": result.index_memory_bytes,
             "points_per_second": round(result.probe_throughput),
         }
     )
-    _emit("shape_index", suite, engine, outcome)
+    _emit("shape_index", suite, outcome)
     assert (result.counts == reference_counts[suite]).all()
 
 
@@ -296,7 +266,6 @@ def test_fig6_facade_registry_sweep(
             "fig6",
             f"facade:{suite}",
             warm.result.probe_seconds,
-            engine=warm.result.engine,
             num_points=warm.result.index_probes,
             build_seconds=cold.registry_build_seconds,
             probe_seconds=warm.result.probe_seconds,

@@ -132,7 +132,6 @@ def test_fig7_bounded_raster_join(
             "fig7",
             f"brj:eps={epsilon}",
             result.wall_seconds,
-            engine="raster",
             num_points=len(brj_points),
             build_seconds=result.build_seconds,
             probe_seconds=result.probe_seconds,

@@ -111,7 +111,6 @@ def test_sharded_join_scaling(join_points, neighborhoods, frame, spec, trie, ref
                 "shard",
                 f"act-shard{SHARDS}-w{workers}:neighborhoods",
                 seconds,
-                engine=result.engine,
                 num_points=result.index_probes,
                 probe_seconds=seconds,
                 metrics={

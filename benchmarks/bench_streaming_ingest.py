@@ -27,8 +27,8 @@ live point once per batch, while the store touches each point once at flush
 plus O(log(total / flush)) size-tiered compaction rewrites.
 
 Every measurement appends a JSON run record carrying ingest points/sec and
-per-query latencies, per probe engine (``REPRO_BENCH_ENGINES``), so the
-streaming performance trajectory stays comparable across PRs.
+per-query latencies, so the streaming performance trajectory stays
+comparable across PRs.
 """
 
 from __future__ import annotations
@@ -39,16 +39,10 @@ import numpy as np
 import pytest
 
 from repro.api import IndexRegistry
-from repro.bench import (
-    append_run_record,
-    engines_from_env,
-    is_smoke_run,
-    run_record,
-)
+from repro.bench import append_run_record, is_smoke_run, run_record
 from repro.query import LinearizedPoints, polygon_query_ranges
 from repro.store import SpatialStore
 
-ENGINES = engines_from_env()
 ACT_EPSILON = 32.0 if is_smoke_run() else 8.0
 STORE_LEVEL = 8 if is_smoke_run() else 12
 DELETE_FRACTION = 0.02
@@ -56,8 +50,8 @@ DELETE_FRACTION = 0.02
 
 def _join_every(num_batches: int) -> int:
     """Joins run on every n-th batch (plus the final one): interleaved often
-    enough to measure serving latency, sparse enough that the python probe
-    engine keeps the full-scale run in minutes."""
+    enough to measure serving latency, sparse enough that the join does not
+    dominate the ingest measurement."""
     return max(1, num_batches // 5)
 
 
@@ -118,26 +112,24 @@ def script(stream_points, scale):
 
 @pytest.fixture(scope="module")
 def results():
-    """Cross-test result channel (ingest seconds + final answers per engine)."""
-    return {"store": {}, "naive": {}}
+    """Cross-test result channel (ingest seconds + final answers per pipeline)."""
+    return {"store": None, "naive": None}
 
 
-def _emit(name: str, engine: str, ingest_seconds: float, num_points: int, metrics: dict):
+def _emit(name: str, ingest_seconds: float, num_points: int, metrics: dict):
     append_run_record(
         run_record(
             "streaming_ingest",
             name,
             ingest_seconds,
-            engine=engine,
             num_points=num_points,
             metrics=metrics,
         )
     )
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 def test_streaming_store(
-    engine, script, stream_points, stream_regions, frame, act_index, registry,
+    script, stream_points, stream_regions, frame, act_index, registry,
     count_ranges_queries, results,
 ):
     """LSM ingest: memtable appends + flush + size-tiered compaction."""
@@ -156,12 +148,10 @@ def test_streaming_store(
 
         snap = store.snapshot()
         start = time.perf_counter()
-        counts = [snap.count_in_ranges(r, engine=engine) for r in count_ranges_queries]
+        counts = [snap.count_in_ranges(r) for r in count_ranges_queries]
         count_ms.append((time.perf_counter() - start) * 1e3 / len(count_ranges_queries))
         if batch_id % _join_every(len(script)) == 0 or batch_id == len(script) - 1:
-            result = snap.act_join(
-                stream_regions, epsilon=ACT_EPSILON, trie=act_index, engine=engine
-            )
+            result = snap.act_join(stream_regions, epsilon=ACT_EPSILON, trie=act_index)
             join_ms.append(result.probe_seconds * 1e3)
 
     start = time.perf_counter()
@@ -171,22 +161,18 @@ def test_streaming_store(
 
     # The store's contract at benchmark scale: identical to a from-scratch
     # rebuild over the live point set.
-    final = store.act_join(
-        stream_regions, epsilon=ACT_EPSILON, trie=act_index, engine=engine
-    )
-    rebuilt = store.rebuilt().act_join(
-        stream_regions, epsilon=ACT_EPSILON, trie=act_index, engine=engine
-    )
+    final = store.act_join(stream_regions, epsilon=ACT_EPSILON, trie=act_index)
+    rebuilt = store.rebuilt().act_join(stream_regions, epsilon=ACT_EPSILON, trie=act_index)
     assert np.array_equal(final.counts, rebuilt.counts)
     assert np.array_equal(final.aggregates, rebuilt.aggregates)
 
-    results["store"][engine] = {
+    results["store"] = {
         "ingest_seconds": ingest_seconds,
         "counts": counts,
         "join_counts": final.counts,
     }
     _emit(
-        f"store:{engine}", engine, ingest_seconds, store.stats.inserts,
+        "store", ingest_seconds, store.stats.inserts,
         {
             "ingest_points_per_second": store.stats.inserts / max(ingest_seconds, 1e-9),
             "mean_join_ms": float(np.mean(join_ms)),
@@ -200,9 +186,8 @@ def test_streaming_store(
     )
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 def test_streaming_naive_rebuild(
-    engine, script, stream_points, stream_regions, frame, act_index,
+    script, stream_points, stream_regions, frame, act_index,
     count_ranges_queries, results,
 ):
     """Rebuild-per-batch: a fresh store over the live set after every batch."""
@@ -222,21 +207,19 @@ def test_streaming_naive_rebuild(
 
         snap = store.snapshot()
         start = time.perf_counter()
-        counts = [snap.count_in_ranges(r, engine=engine) for r in count_ranges_queries]
+        counts = [snap.count_in_ranges(r) for r in count_ranges_queries]
         count_ms.append((time.perf_counter() - start) * 1e3 / len(count_ranges_queries))
         if batch_id % _join_every(len(script)) == 0 or batch_id == len(script) - 1:
-            result = snap.act_join(
-                stream_regions, epsilon=ACT_EPSILON, trie=act_index, engine=engine
-            )
+            result = snap.act_join(stream_regions, epsilon=ACT_EPSILON, trie=act_index)
             join_ms.append(result.probe_seconds * 1e3)
 
-    results["naive"][engine] = {
+    results["naive"] = {
         "ingest_seconds": ingest_seconds,
         "counts": counts,
         "join_counts": result.counts,
     }
     _emit(
-        f"naive_rebuild:{engine}", engine, ingest_seconds, int(live_mask.shape[0]),
+        "naive_rebuild", ingest_seconds, int(live_mask.shape[0]),
         {
             "ingest_points_per_second": live_mask.shape[0] / max(ingest_seconds, 1e-9),
             "mean_join_ms": float(np.mean(join_ms)),
@@ -247,11 +230,10 @@ def test_streaming_naive_rebuild(
     )
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_store_matches_naive_and_beats_rebuild(engine, results, scale):
+def test_store_matches_naive_and_beats_rebuild(results, scale):
     """Same answers, amortized ingest >= 5x cheaper (full scale only)."""
-    store_res = results["store"].get(engine)
-    naive_res = results["naive"].get(engine)
+    store_res = results["store"]
+    naive_res = results["naive"]
     assert store_res is not None and naive_res is not None, (
         "run the store and naive benchmarks first (same pytest invocation)"
     )
@@ -260,7 +242,7 @@ def test_store_matches_naive_and_beats_rebuild(engine, results, scale):
 
     speedup = naive_res["ingest_seconds"] / max(store_res["ingest_seconds"], 1e-9)
     _emit(
-        f"ingest_speedup:{engine}", engine, store_res["ingest_seconds"],
+        "ingest_speedup", store_res["ingest_seconds"],
         None, {"speedup_vs_naive_rebuild": speedup},
     )
     if not is_smoke_run():

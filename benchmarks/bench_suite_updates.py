@@ -24,7 +24,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.api import EngineConfig, SpatialDataset
+from repro.api import SpatialDataset
 from repro.bench import append_run_record, is_smoke_run, print_table, run_record
 from repro.query import AggregationQuery
 
@@ -55,7 +55,6 @@ def _best_of(rounds, fn):
 
 
 def test_single_polygon_update_vs_rebuild(workload, join_points, frame, scale, spec):
-    config = EngineConfig()
     full_size = scale.num_neighborhoods
     rows = []
     speedups = {}
@@ -66,7 +65,6 @@ def test_single_polygon_update_vs_rebuild(workload, join_points, frame, scale, s
             frame=frame,
             extent=workload.extent,
             suites={"hood": regions},
-            config=config,
         )
         dataset.act_index("hood", ACT_EPSILON)  # the patch target
 
@@ -86,7 +84,7 @@ def test_single_polygon_update_vs_rebuild(workload, join_points, frame, scale, s
         from repro.approx.build_engine import get_build_engine
 
         current = list(dataset.suite("hood").regions)
-        builder = get_build_engine(config.build_engine)
+        builder = get_build_engine(None)
         rebuild_seconds, rebuilt = _best_of(
             ROUNDS,
             lambda: builder.load_act(current, frame, epsilon=ACT_EPSILON),
@@ -100,7 +98,6 @@ def test_single_polygon_update_vs_rebuild(workload, join_points, frame, scale, s
             frame=frame,
             extent=workload.extent,
             suites={"hood": current},
-            config=config,
         )
         fresh_result = fresh.query(spec, suite="hood", strategy="act")
         assert np.array_equal(patched_result.counts, fresh_result.counts)
@@ -122,8 +119,6 @@ def test_single_polygon_update_vs_rebuild(workload, join_points, frame, scale, s
             "suite-updates",
             f"replace1-of-{size}:neighborhoods",
             patch_seconds,
-            engine="vectorized",
-            build_engine=builder.name,
             num_points=len(join_points),
             build_seconds=rebuild_seconds,
             metrics={

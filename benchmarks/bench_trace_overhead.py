@@ -70,7 +70,6 @@ def test_disabled_span_overhead_micro():
         "trace-overhead",
         "disabled-span:micro",
         span_seconds,
-        engine="python",
         metrics={
             "iterations": MICRO_ITERATIONS,
             "baseline_seconds": base_seconds,
@@ -117,7 +116,6 @@ def test_disabled_vs_enabled_join_macro(workload, join_points, neighborhoods, fr
         "trace-overhead",
         "disabled-vs-enabled:join",
         disabled_seconds,
-        engine="vectorized",
         num_points=len(join_points),
         metrics={
             "enabled_seconds": enabled_seconds,

@@ -43,7 +43,7 @@ def main() -> None:
     )
     spec = AggregationQuery(epsilon=EPSILON, suite="geofences")
     dataset.act_index("geofences", EPSILON)  # warm the patch target
-    builder = get_build_engine(dataset.config.build_engine)
+    builder = get_build_engine(None)
 
     print(f"{len(points):,} pickup points, {len(fences)} live geofences")
     baseline = dataset.query(spec)

@@ -3,11 +3,11 @@
 The durability subsystem end to end, as a two-process demo:
 
 1. A **node** child process creates a durable session on disk — a WAL'd
-   :class:`~repro.store.SpatialStore`, a polygon suite, an engine config —
-   checkpoints it with ``SpatialDataset.save``, keeps ingesting (the tail
-   lives only in the write-ahead log), serves a burst of aggregation joins
-   through a :class:`~repro.serve.QueryServer`, prints the answers … and
-   then SIGKILLs itself.  No close, no flush, no goodbye.
+   :class:`~repro.store.SpatialStore` and a polygon suite — checkpoints it
+   with ``SpatialDataset.save``, keeps ingesting (the tail lives only in
+   the write-ahead log), serves a burst of aggregation joins through a
+   :class:`~repro.serve.QueryServer`, prints the answers … and then
+   SIGKILLs itself.  No close, no flush, no goodbye.
 2. The parent **restarts** the node: ``SpatialDataset.open`` reads the
    session manifest, reopens the store (replaying the WAL tail past the
    checkpoint — the recovery report says exactly what came back), verifies

@@ -7,7 +7,7 @@ approximations whose error is bounded by a user-chosen Hausdorff distance.
 
 The public API re-exports the most commonly used pieces; the sub-packages are
 
-* :mod:`repro.api` — the session facade: datasets, engine config, index registry,
+* :mod:`repro.api` — the session facade: datasets, execution config, index registry,
 * :mod:`repro.geometry` — geometry kernel (points, polygons, exact predicates),
 * :mod:`repro.approx` — MBR family and distance-bounded raster approximations,
 * :mod:`repro.curves` — Morton / Hilbert linearization and hierarchical cell ids,

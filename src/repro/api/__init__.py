@@ -1,12 +1,12 @@
-"""Public query facade: datasets, engine configuration, index lifecycle.
+"""Public query facade: datasets, execution configuration, index lifecycle.
 
 This package is the recommended entry point for applications.  One
 :class:`SpatialDataset` session owns the grid frame, a point source (static
 point set or live updatable store), named polygon suites, an
-:class:`EngineConfig` with the default execution backends, and an
+:class:`EngineConfig` with the optimizer knobs and sharded fan-out, and an
 :class:`IndexRegistry` caching the polygon indexes; ``dataset.query(spec)``
 plans the declarative :class:`~repro.query.spec.AggregationQuery` with the
-cost-based optimizer and executes the chosen plan on the vectorized kernels —
+cost-based optimizer and executes the chosen plan on the batch kernels —
 bit-identical to calling the kernels directly.
 
 The free functions in :mod:`repro.query` remain available as the underlying

@@ -1,39 +1,30 @@
-"""Engine configuration: one frozen object instead of per-call kwargs.
+"""Execution configuration: one frozen object instead of per-call kwargs.
 
-Before the facade existed, every query call threaded ``engine=`` (probe
-backend), ``build_engine=`` (construction backend) and optimizer knobs by
-hand.  :class:`EngineConfig` bundles them: a :class:`repro.api.SpatialDataset`
-carries one as its default and any query can override individual fields with
-:meth:`EngineConfig.merged`.
+:class:`EngineConfig` bundles the optimizer knobs and the sharded fan-out:
+a :class:`repro.api.SpatialDataset` carries one as its default and any query
+can override individual fields with :meth:`EngineConfig.merged`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.approx.build_engine import BuildEngine, get_build_engine
 from repro.hardware.gpu import DeviceSpec
-from repro.query.engine import ProbeEngine, get_engine
 from repro.query.optimizer import CostModel
 
 __all__ = ["EngineConfig"]
 
 #: Sentinel distinguishing "not overridden" from an explicit ``None``
-#: (``None`` means "library default" for the engine fields).
+#: (``None`` means "library default" for the optional fields).
 _UNSET = object()
 
 
 @dataclass(frozen=True, slots=True)
 class EngineConfig:
-    """Execution backends and optimizer knobs of a dataset, in one place.
+    """Optimizer knobs and sharded fan-out of a dataset, in one place.
 
     Attributes
     ----------
-    engine:
-        Probe backend (name, instance, or ``None`` for the library default)
-        used by every point-probe kernel.
-    build_engine:
-        Construction backend for approximations and polygon indexes.
     cost_model:
         Optimizer cost constants; ``None`` uses :class:`CostModel`'s defaults.
     device:
@@ -46,8 +37,6 @@ class EngineConfig:
         unsharded datasets.
     """
 
-    engine: "str | ProbeEngine | None" = None
-    build_engine: "str | BuildEngine | None" = None
     cost_model: "CostModel | None" = None
     device: "DeviceSpec | None" = None
     workers: int = 0
@@ -55,14 +44,6 @@ class EngineConfig:
     # ------------------------------------------------------------------ #
     # resolution
     # ------------------------------------------------------------------ #
-    def probe_engine(self) -> ProbeEngine:
-        """The resolved probe engine (library default when unset)."""
-        return get_engine(self.engine)
-
-    def builder(self) -> BuildEngine:
-        """The resolved build engine (library default when unset)."""
-        return get_build_engine(self.build_engine)
-
     def resolved_cost_model(self) -> CostModel:
         return self.cost_model or CostModel()
 
@@ -74,8 +55,6 @@ class EngineConfig:
     # ------------------------------------------------------------------ #
     def merged(
         self,
-        engine=_UNSET,
-        build_engine=_UNSET,
         cost_model=_UNSET,
         device=_UNSET,
         workers=_UNSET,
@@ -86,10 +65,6 @@ class EngineConfig:
         sentinel — not ``None`` — marks "leave as configured".
         """
         updates = {}
-        if engine is not _UNSET:
-            updates["engine"] = engine
-        if build_engine is not _UNSET:
-            updates["build_engine"] = build_engine
         if cost_model is not _UNSET:
             updates["cost_model"] = cost_model
         if device is not _UNSET:

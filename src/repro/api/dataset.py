@@ -10,14 +10,14 @@ counts and range estimation) are the alternatives the planner chooses among.
 * it owns the shared :class:`~repro.grid.uniform_grid.GridFrame`, a point
   source — a static :class:`~repro.geometry.point.PointSet` **or** a live
   :class:`~repro.store.store.SpatialStore` — and named polygon suites,
-* a default :class:`~repro.api.config.EngineConfig` (probe engine + build
-  engine + cost model), overridable per query,
+* a default :class:`~repro.api.config.EngineConfig` (cost model, device,
+  shard workers), overridable per query,
 * an :class:`~repro.api.registry.IndexRegistry` caching the polygon indexes
   every query needs, shared with the backing store's snapshots, and
 * :meth:`query` = plan → execute → result: the optimizer's
   :class:`~repro.query.optimizer.PlanChoice` is executed through
   :func:`~repro.query.plan.run_plan`, dispatching to exactly the kernel the
-  free-function call would run — **bit-identically**, on both probe engines.
+  free-function call would run — **bit-identically**.
 
 Quick start::
 
@@ -526,10 +526,10 @@ class SpatialDataset:
     ) -> DatasetResult:
         """Plan the aggregation query, execute the choice, return the result.
 
-        The executed kernel, its engine configuration and any prebuilt index
-        are exactly what a direct kernel call would use, so the aggregates
-        (floats included) are bit-identical to calling the kernel by hand —
-        the facade adds planning and index reuse, never a different answer.
+        The executed kernel and any prebuilt index are exactly what a direct
+        kernel call would use, so the aggregates (floats included) are
+        bit-identical to calling the kernel by hand — the facade adds
+        planning and index reuse, never a different answer.
         """
         spec = spec or AggregationQuery()
         target = self._resolve_suite(spec, suite)
@@ -560,7 +560,6 @@ class SpatialDataset:
                         list(target.regions),
                         self.frame,
                         epsilon=float(spec.epsilon),
-                        build_engine=config.build_engine,
                         fingerprint=target.fingerprint,
                     )
                     join_kwargs = {}
@@ -573,8 +572,6 @@ class SpatialDataset:
                         epsilon=float(spec.epsilon),
                         query=spec,
                         trie=trie,
-                        engine=config.engine,
-                        build_engine=config.build_engine,
                         **join_kwargs,
                     )
                 else:
@@ -654,14 +651,12 @@ class SpatialDataset:
                 regions,
                 self.frame,
                 epsilon=float(spec.epsilon),
-                build_engine=config.build_engine,
                 fingerprint=target.fingerprint,
             )
         elif strategy == "shape-index":
             shape_index = self.registry.shape_index(
                 regions,
                 self.frame,
-                build_engine=config.build_engine,
                 fingerprint=target.fingerprint,
             )
         return PlanContext(
@@ -670,8 +665,6 @@ class SpatialDataset:
             query=spec,
             extent=self.extent,
             frame=self.frame,
-            engine=config.engine,
-            build_engine=config.build_engine,
             trie=trie,
             shape_index=shape_index,
             gpu=gpu,
@@ -737,8 +730,6 @@ class SpatialDataset:
                         region,
                         cells_per_polygon,
                         conservative=conservative,
-                        engine=config.engine,
-                        build_engine=config.build_engine,
                     )
                     for region in target.regions
                 ],
@@ -813,7 +804,7 @@ class SpatialDataset:
 
         Persists the point side (the store's durable checkpoint, or the
         static point set), every registered suite as fingerprint-verified
-        WKT, and the engine configuration — everything :meth:`open` needs
+        WKT, and the execution configuration — everything :meth:`open` needs
         to bring an identical, restartable session back.  See
         :mod:`repro.durable.checkpoint` for the layout and crash-safety
         story.  Returns the session directory.
@@ -838,7 +829,7 @@ class SpatialDataset:
         Store-backed sessions replay their write-ahead logs here (the
         store's ``last_recovery`` reports what came back); suite geometry
         is verified against the stored content fingerprints.  ``config``
-        overrides the persisted engine configuration wholesale.
+        overrides the persisted execution configuration wholesale.
         """
         from repro.durable.checkpoint import open_session
 
@@ -849,15 +840,13 @@ class SpatialDataset:
     # ------------------------------------------------------------------ #
     # index lifecycle
     # ------------------------------------------------------------------ #
-    def act_index(self, suite: str, epsilon: float, **overrides):
+    def act_index(self, suite: str, epsilon: float):
         """The (cached) probe-ready ACT index of a suite at a distance bound."""
         target = self.suite(suite)
-        config = self.config.merged(**overrides)
         return self.registry.act_index(
             list(target.regions),
             self.frame,
             epsilon=float(epsilon),
-            build_engine=config.build_engine,
             fingerprint=target.fingerprint,
         )
 

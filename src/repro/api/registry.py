@@ -6,10 +6,10 @@ artefact: a distance-bounded index (ACT / FlatACT) or a coarse covering
 unless the caller threads a prebuilt instance by hand; the
 :class:`IndexRegistry` centralises that lifecycle instead:
 
-* indexes are cached per ``(suite fingerprint, frame, parameters, build
-  engine)`` — the fingerprint is a content hash of the suite's ring
-  coordinates (:mod:`repro.api.fingerprint`), so two structurally identical
-  suites share an entry while any geometry change misses;
+* indexes are cached per ``(suite fingerprint, frame, parameters)`` — the
+  fingerprint is a content hash of the suite's ring coordinates
+  (:mod:`repro.api.fingerprint`), so two structurally identical suites share
+  an entry while any geometry change misses;
 * hit / miss / invalidation counters are kept per registry — split by
   whether an entry is polygon-suite-scoped or point-scoped — so serving
   layers (and the benchmarks) can report cache effectiveness;
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.api.fingerprint import SuiteDelta, suite_fingerprint
-from repro.approx.build_engine import BuildEngine, get_build_engine
+from repro.approx.build_engine import get_build_engine
 from repro.geometry.polygon import MultiPolygon, Polygon
 from repro.grid.uniform_grid import GridFrame
 from repro.index.flat_act import FlatACT
@@ -115,10 +115,9 @@ class _Entry:
     #: and are the only ones a store flush / compaction must drop.
     scope: str = "suite"
     #: Rebuild recipe, kept so suite deltas can patch the entry in place:
-    #: the kind / frame / build engine / params that produced the index.
+    #: the kind / frame / params that produced the index.
     kind: str = "act"
     frame: "GridFrame | None" = None
-    builder: "BuildEngine | None" = None
     params: tuple = ()
     #: Seconds this entry has cost so far (initial build + all patches) and
     #: how many in-place patches it has absorbed — kept honest across
@@ -131,9 +130,8 @@ class _Entry:
 class IndexRegistry:
     """Cache of probe-ready polygon indexes keyed on suite content.
 
-    The cached objects are exactly what the build engines produce
-    (:class:`~repro.index.act.AdaptiveCellTrie` or
-    :class:`~repro.index.flat_act.FlatACT` for ACT entries,
+    The cached objects are exactly what the kernels build on a miss
+    (:class:`~repro.index.flat_act.FlatACT` for ACT entries,
     :class:`~repro.index.shape_index.ShapeIndex` for covering entries), so a
     hit is indistinguishable — bit for bit — from threading a prebuilt index
     into the kernel by hand.
@@ -155,30 +153,25 @@ class IndexRegistry:
         regions: "list[Region]",
         frame: GridFrame,
         epsilon: float,
-        build_engine: "str | BuildEngine | None" = None,
         conservative: bool = True,
         fingerprint: "str | None" = None,
     ):
         """Probe-ready ACT index over the suite (cached per content + params)."""
-        builder = get_build_engine(build_engine)
         fingerprint = fingerprint or suite_fingerprint(regions)
         params = (float(epsilon), conservative)
-        key = self._key("act", fingerprint, frame, builder, params)
+        key = self._key("act", fingerprint, frame, params)
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
                 index, seconds = self._timed(
                     "suite",
-                    lambda: builder.load_act(
-                        regions, frame, epsilon=epsilon, conservative=conservative
-                    ),
+                    lambda: FlatACT.build(regions, frame, epsilon, conservative=conservative),
                 )
                 entry = _Entry(
                     index,
                     fingerprint,
                     kind="act",
                     frame=frame,
-                    builder=builder,
                     params=params,
                     build_seconds=seconds,
                 )
@@ -192,34 +185,26 @@ class IndexRegistry:
         regions: "list[Region]",
         frame: GridFrame,
         max_cells_per_shape: int = 32,
-        build_engine: "str | BuildEngine | None" = None,
         fingerprint: "str | None" = None,
     ):
         """Coarse-covering ShapeIndex over the suite (cached, see :meth:`act_index`)."""
         from repro.index.shape_index import ShapeIndex
 
-        builder = get_build_engine(build_engine)
         fingerprint = fingerprint or suite_fingerprint(regions)
         params = (int(max_cells_per_shape),)
-        key = self._key("shape", fingerprint, frame, builder, params)
+        key = self._key("shape", fingerprint, frame, params)
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
                 index, seconds = self._timed(
                     "suite",
-                    lambda: ShapeIndex(
-                        regions,
-                        frame,
-                        max_cells_per_shape=max_cells_per_shape,
-                        build_engine=builder,
-                    ),
+                    lambda: ShapeIndex(regions, frame, max_cells_per_shape=max_cells_per_shape),
                 )
                 entry = _Entry(
                     index,
                     fingerprint,
                     kind="shape",
                     frame=frame,
-                    builder=builder,
                     params=params,
                     build_seconds=seconds,
                 )
@@ -279,10 +264,10 @@ class IndexRegistry:
 
         * **patchable** entries — :class:`~repro.index.flat_act.FlatACT`
           indexes with a recorded rebuild recipe — get only the changed
-          polygons' cell arrays rebuilt (via the entry's own build engine,
-          frame and epsilon) and spliced in: replace → remove → add, then
-          the entry is re-keyed under the new fingerprint;
-        * everything else (pointer tries, shape coverings) is dropped, and
+          polygons' cell arrays rebuilt (with the entry's own frame and
+          epsilon) and spliced in: replace → remove → add, then the entry is
+          re-keyed under the new fingerprint;
+        * everything else (shape coverings) is dropped, and
           the next lookup rebuilds it — counted as one suite invalidation.
 
         Returns ``{"patched": n, "dropped": n, "polygons": n, "seconds": s}``.
@@ -302,7 +287,6 @@ class IndexRegistry:
                 if (
                     entry.kind == "act"
                     and isinstance(entry.index, FlatACT)
-                    and entry.builder is not None
                     and entry.frame is not None
                 ):
                     with trace.timed(
@@ -315,7 +299,7 @@ class IndexRegistry:
                     entry.patches += 1
                     del self._entries[key]
                     new_key = self._key(
-                        entry.kind, delta.new_fingerprint, entry.frame, entry.builder, entry.params
+                        entry.kind, delta.new_fingerprint, entry.frame, entry.params
                     )
                     self._entries[new_key] = entry
                     patched += 1
@@ -347,7 +331,7 @@ class IndexRegistry:
         changed = [*delta.replaced, *delta.added]
         cells_by_position: dict[int, tuple] = {}
         if changed:
-            cells = entry.builder.build_cell_arrays(
+            cells = get_build_engine().build_cell_arrays(
                 [new_regions[position] for position in changed],
                 entry.frame,
                 epsilon,
@@ -390,9 +374,9 @@ class IndexRegistry:
     # internals
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _key(kind: str, fingerprint: str, frame: GridFrame, builder: BuildEngine, params: tuple):
+    def _key(kind: str, fingerprint: str, frame: GridFrame, params: tuple):
         frame_key = (float(frame.origin_x), float(frame.origin_y), float(frame.size))
-        return (kind, fingerprint, frame_key, builder.name, params)
+        return (kind, fingerprint, frame_key, params)
 
     def _timed(self, scope: str, build):
         if scope == "points":

@@ -8,15 +8,7 @@ Hausdorff distance ``epsilon``.
 """
 
 from repro.approx.base import GeometricApproximation
-from repro.approx.build_engine import (
-    BUILD_ENGINES,
-    DEFAULT_BUILD_ENGINE,
-    BuildEngine,
-    PythonBuildEngine,
-    SuiteBuildEngine,
-    VectorizedBuildEngine,
-    get_build_engine,
-)
+from repro.approx.build_engine import HRBuilder, get_build_engine
 from repro.approx.circle import MinimumBoundingCircle, welzl_circle
 from repro.approx.clipped_mbr import ClippedMBRApproximation
 from repro.approx.convex_hull import ConvexHullApproximation
@@ -34,23 +26,18 @@ from repro.approx.rotated_mbr import RotatedMBRApproximation, minimum_area_recta
 from repro.approx.uniform_raster import UniformRasterApproximation
 
 __all__ = [
-    "BUILD_ENGINES",
-    "BuildEngine",
     "ClippedMBRApproximation",
-    "DEFAULT_BUILD_ENGINE",
     "ConvexHullApproximation",
     "DistanceBound",
     "GeometricApproximation",
+    "HRBuilder",
     "HRCell",
     "HierarchicalRasterApproximation",
     "MBRApproximation",
     "MinimumBoundingCircle",
     "NCornerApproximation",
-    "PythonBuildEngine",
     "RotatedMBRApproximation",
-    "SuiteBuildEngine",
     "UniformRasterApproximation",
-    "VectorizedBuildEngine",
     "bound_for_cell_side",
     "cell_side_for_bound",
     "get_build_engine",

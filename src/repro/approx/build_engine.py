@@ -1,37 +1,20 @@
-"""Batch build engine: the execution backends of the construction layer.
+"""The construction path: suite-wide frontier sweeps and bulk index loads.
 
-PR 1 split the *probe* phase into interchangeable backends
-(:class:`~repro.query.engine.ProbeEngine`); this module mirrors that split on
-the *build* side.  Every approximate-join setup boils down to the same two
-steps — "approximate each polygon with a distance-bounded hierarchical
-raster" and "load the resulting cells into the ACT index" — and both steps
-used to run one Python call per cell.  A :class:`BuildEngine` factors them
-behind two interchangeable backends:
+Every approximate-join setup boils down to the same two steps — "approximate
+each polygon with a distance-bounded hierarchical raster" and "load the
+resulting cells into the ACT index".  :class:`HRBuilder` runs both for a
+whole polygon suite at once: the approximations come from one region-tagged
+frontier sweep per refinement level
+(:meth:`HierarchicalRasterApproximation._build_frontier_suite`), so the
+per-level numpy overhead is paid once per level for the whole suite, and the
+index is bulk-loaded by :meth:`FlatACT.from_cells` straight from the
+approximations' ``(polygon_id, code, level)`` arrays.  Single-region builds
+are the same sweep over a one-region suite.
 
-* ``python`` — the original per-cell paths, kept as the **correctness
-  oracle**: recursive/best-first refinement
-  (:meth:`HierarchicalRasterApproximation._build`) for budgeted
-  approximations and one :meth:`AdaptiveCellTrie.insert_cell` per cell for
-  index loading.
-* ``vectorized`` — the per-region batch backend.  Budgeted approximations
-  run through the level-synchronous frontier sweep
-  (:meth:`HierarchicalRasterApproximation._build_frontier`), and the ACT
-  index is bulk-loaded by :meth:`FlatACT.from_cells` straight from the
-  approximations' ``(polygon_id, code, level)`` arrays — the pointer trie is
-  bypassed entirely.
-* ``suite`` — the suite-wide batch backend (default).  Single-region builds
-  are the vectorized frontier sweep, but batch builds
-  (:meth:`~HierarchicalRasterApproximation.from_cell_budget_batch`,
-  :meth:`FlatACT.build`, the ShapeIndex covering loader) classify **all**
-  regions' frontiers in one region-tagged per-level batch
-  (:meth:`HierarchicalRasterApproximation._build_frontier_suite`), so the
-  per-level numpy overhead is paid once per level for the whole polygon
-  suite instead of once per region per level.
-
-All backends emit the identical cell sets and bit-identical FlatACT
-postings, so every probe engine produces the same join results on top of
-any build path.  Select a backend per call (``engine=...``), or globally
-for the benchmarks via ``REPRO_BENCH_BUILD_ENGINES``.
+The per-cell recursive refinement and per-insert trie load this path
+replaced are kept as the test oracle (``tests/oracles/hr_recursive.py``);
+the sweep emits their identical cell sets and bit-identical FlatACT
+postings.
 """
 
 from __future__ import annotations
@@ -43,35 +26,13 @@ from repro.errors import ApproximationError
 from repro.geometry.polygon import MultiPolygon, Polygon
 from repro.grid.uniform_grid import GridFrame
 
-__all__ = [
-    "BUILD_ENGINES",
-    "DEFAULT_BUILD_ENGINE",
-    "BuildEngine",
-    "PythonBuildEngine",
-    "SuiteBuildEngine",
-    "VectorizedBuildEngine",
-    "get_build_engine",
-]
-
-#: Names of the available backends.
-BUILD_ENGINES = ("python", "vectorized", "suite")
-#: Backend used when the caller does not choose one.
-DEFAULT_BUILD_ENGINE = "suite"
+__all__ = ["HRBuilder", "get_build_engine"]
 
 Region = Polygon | MultiPolygon
 
 
-class BuildEngine:
-    """One execution backend of the construction phase.
-
-    Subclasses implement hierarchical-raster construction — distance-bounded
-    and budgeted, single and batch — plus the ACT index load.  The two
-    concerns a backend controls are *how cells are classified* (per-cell
-    recursion vs. level-synchronous sweeps) and *how cells reach the index*
-    (per-insert trie fills vs. bulk CSR assembly).
-    """
-
-    name: str = "abstract"
+class HRBuilder:
+    """Hierarchical-raster construction and ACT index loading for a suite."""
 
     def build_hr(
         self,
@@ -83,7 +44,9 @@ class BuildEngine:
         conservative: bool = True,
     ) -> HierarchicalRasterApproximation:
         """Budget-refined HR approximation of one region."""
-        raise NotImplementedError
+        return self.build_hr_batch(
+            [region], frame, max_level=max_level, max_cells=max_cells, conservative=conservative
+        )[0]
 
     def build_hr_batch(
         self,
@@ -95,16 +58,9 @@ class BuildEngine:
         conservative: bool = True,
     ) -> list[HierarchicalRasterApproximation]:
         """Budget-refined HR approximations of a whole polygon suite."""
-        return [
-            self.build_hr(
-                region,
-                frame,
-                max_level=max_level,
-                max_cells=max_cells,
-                conservative=conservative,
-            )
-            for region in regions
-        ]
+        return HierarchicalRasterApproximation._build_frontier_suite(
+            regions, frame, max_level=max_level, max_cells=max_cells, conservative=conservative
+        )
 
     def build_bound(
         self,
@@ -113,15 +69,8 @@ class BuildEngine:
         epsilon: float,
         conservative: bool = True,
     ) -> HierarchicalRasterApproximation:
-        """Distance-bounded HR approximation of one region.
-
-        A bound build is a budget-less refinement down to the level whose
-        cell diagonal honours ``epsilon``, so it reuses :meth:`build_hr`.
-        """
-        max_level = frame.level_for_cell_side(cell_side_for_bound(epsilon))
-        return self.build_hr(
-            region, frame, max_level=max_level, max_cells=None, conservative=conservative
-        )
+        """Distance-bounded HR approximation of one region."""
+        return self.build_bound_batch([region], frame, epsilon, conservative=conservative)[0]
 
     def build_bound_batch(
         self,
@@ -130,11 +79,15 @@ class BuildEngine:
         epsilon: float,
         conservative: bool = True,
     ) -> list[HierarchicalRasterApproximation]:
-        """Distance-bounded approximations of a whole polygon suite."""
-        return [
-            self.build_bound(region, frame, epsilon, conservative=conservative)
-            for region in regions
-        ]
+        """Distance-bounded approximations of a whole polygon suite.
+
+        A bound build is a budget-less refinement down to the level whose
+        cell diagonal honours ``epsilon``.
+        """
+        max_level = frame.level_for_cell_side(cell_side_for_bound(epsilon))
+        return self.build_hr_batch(
+            regions, frame, max_level=max_level, max_cells=None, conservative=conservative
+        )
 
     def build_cell_arrays(
         self,
@@ -149,9 +102,9 @@ class BuildEngine:
         mutation touches only a few polygons, the patcher asks for exactly
         those polygons' cells and splices them into the existing
         :class:`~repro.index.flat_act.FlatACT` — nothing else is rebuilt.
-        All build engines emit identical per-polygon cell sets (that is the
-        engine-parity invariant the test suites enforce), so a delta built
-        here matches what a from-scratch suite build would have produced.
+        The sweep builds every region as it would inside the whole suite, so
+        a delta built here matches what a from-scratch suite build would
+        have produced.
         """
         approxes = self.build_bound_batch(
             regions, frame, epsilon, conservative=conservative
@@ -165,137 +118,19 @@ class BuildEngine:
         epsilon: float,
         conservative: bool = True,
     ):
-        """Probe-ready ACT index over a suite's distance-bounded approximations.
-
-        Returns an index object the probe engines accept (``lookup_point`` /
-        ``lookup_points_batch`` / ``flattened`` / ``memory_bytes``): the
-        pointer :class:`~repro.index.act.AdaptiveCellTrie` from the python
-        backend, the array-backed :class:`~repro.index.flat_act.FlatACT`
-        from the vectorized backend.
-        """
-        raise NotImplementedError
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"{type(self).__name__}(name={self.name!r})"
-
-
-class PythonBuildEngine(BuildEngine):
-    """Per-cell recursion and per-insert trie loading — the seed behaviour."""
-
-    name = "python"
-
-    def build_hr(
-        self,
-        region: Region,
-        frame: GridFrame,
-        *,
-        max_level: int = MAX_LEVEL,
-        max_cells: int | None = None,
-        conservative: bool = True,
-    ) -> HierarchicalRasterApproximation:
-        return HierarchicalRasterApproximation._build(
-            region, frame, max_level=max_level, max_cells=max_cells, conservative=conservative
-        )
-
-    def load_act(
-        self,
-        regions: list[Region],
-        frame: GridFrame,
-        epsilon: float,
-        conservative: bool = True,
-    ):
-        from repro.index.act import AdaptiveCellTrie
-
-        return AdaptiveCellTrie.build(
-            regions, frame, epsilon, conservative=conservative, engine=self
-        )
-
-
-class VectorizedBuildEngine(BuildEngine):
-    """Batch backend: frontier sweeps and bulk CSR index assembly."""
-
-    name = "vectorized"
-
-    def build_hr(
-        self,
-        region: Region,
-        frame: GridFrame,
-        *,
-        max_level: int = MAX_LEVEL,
-        max_cells: int | None = None,
-        conservative: bool = True,
-    ) -> HierarchicalRasterApproximation:
-        return HierarchicalRasterApproximation._build_frontier(
-            region, frame, max_level=max_level, max_cells=max_cells, conservative=conservative
-        )
-
-    def load_act(
-        self,
-        regions: list[Region],
-        frame: GridFrame,
-        epsilon: float,
-        conservative: bool = True,
-    ):
+        """Probe-ready :class:`~repro.index.flat_act.FlatACT` over a suite."""
         from repro.index.flat_act import FlatACT
 
-        return FlatACT.build(
-            regions, frame, epsilon, conservative=conservative, build_engine=self
-        )
+        return FlatACT.build(regions, frame, epsilon, conservative=conservative)
 
 
-class SuiteBuildEngine(VectorizedBuildEngine):
-    """Suite-wide batch backend: one region-tagged frontier sweep per level.
-
-    Single-region construction and index loading are inherited from the
-    vectorized backend; the batch entry points sweep the whole suite at once,
-    which is what amortizes the per-level numpy overhead over hundreds of
-    polygons on the fig6/fig7 workloads.
-    """
-
-    name = "suite"
-
-    def build_hr_batch(
-        self,
-        regions: list[Region],
-        frame: GridFrame,
-        *,
-        max_level: int = MAX_LEVEL,
-        max_cells: int | None = None,
-        conservative: bool = True,
-    ) -> list[HierarchicalRasterApproximation]:
-        return HierarchicalRasterApproximation._build_frontier_suite(
-            regions, frame, max_level=max_level, max_cells=max_cells, conservative=conservative
-        )
-
-    def build_bound_batch(
-        self,
-        regions: list[Region],
-        frame: GridFrame,
-        epsilon: float,
-        conservative: bool = True,
-    ) -> list[HierarchicalRasterApproximation]:
-        max_level = frame.level_for_cell_side(cell_side_for_bound(epsilon))
-        return self.build_hr_batch(
-            regions, frame, max_level=max_level, max_cells=None, conservative=conservative
-        )
+_BUILDER = HRBuilder()
 
 
-_BUILD_ENGINES: dict[str, BuildEngine] = {
-    "python": PythonBuildEngine(),
-    "vectorized": VectorizedBuildEngine(),
-    "suite": SuiteBuildEngine(),
-}
-
-
-def get_build_engine(engine: "str | BuildEngine | None") -> BuildEngine:
-    """Resolve a build-engine name (or pass an engine through); ``None`` → default."""
-    if engine is None:
-        return _BUILD_ENGINES[DEFAULT_BUILD_ENGINE]
-    if isinstance(engine, BuildEngine):
-        return engine
-    try:
-        return _BUILD_ENGINES[engine]
-    except KeyError:
+def get_build_engine(engine: None = None) -> HRBuilder:
+    """The construction path; ``None`` is the only accepted argument."""
+    if engine is not None:
         raise ApproximationError(
-            f"unknown build engine {engine!r} (expected one of {', '.join(BUILD_ENGINES)})"
-        ) from None
+            f"unknown build engine {engine!r}: there is one construction path, pass None"
+        )
+    return _BUILDER

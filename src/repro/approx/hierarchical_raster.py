@@ -19,15 +19,14 @@ single point-in-polygon test of its centre, so the refinement only descends
 along the boundary and the construction cost is proportional to the boundary
 length measured in cells.
 
-Construction runs through a :class:`~repro.approx.build_engine.BuildEngine`
-backend: the ``python`` backend is the original per-cell recursive
-refinement (:meth:`_build`, kept as the correctness oracle), the
-``vectorized`` default (:meth:`_build_frontier`) sweeps one whole refinement
-level at a time — a single array of candidate cell codes is classified
-inside / outside / boundary per level with a vectorised segment-box
-intersection over CSR candidate lists plus one batched centre test on a
-y-slab edge table (:class:`~repro.geometry.predicates.RegionSlabs`).  Both
-backends emit the identical cell set, for distance-bounded and budgeted
+Construction (:meth:`_build_frontier_suite`) sweeps one whole refinement
+level at a time for a whole polygon suite — a single region-tagged array of
+candidate cell codes is classified inside / outside / boundary per level
+with a vectorised segment-box intersection over CSR candidate lists plus one
+batched centre test on a y-slab edge table
+(:class:`~repro.geometry.predicates.RegionSlabs`).  It emits the identical
+cell set as the per-cell recursive refinement it replaced (kept as the test
+oracle ``tests/oracles/hr_recursive.py``), for distance-bounded and budgeted
 builds alike.
 
 Internally the approximation is array-native: cells live as parallel
@@ -40,7 +39,6 @@ for scalar consumers (the pointer trie, tests, examples).
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +50,7 @@ from repro.curves.morton import MAX_LEVEL, morton_decode_array
 from repro.errors import ApproximationError, CurveError
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.polygon import MultiPolygon, Polygon
-from repro.geometry.predicates import RegionSlabs, point_in_region
-from repro.grid.rasterizer import _boundary_segment_array
+from repro.geometry.predicates import RegionSlabs
 from repro.grid.uniform_grid import GridFrame
 
 __all__ = ["HierarchicalRasterApproximation", "HRCell"]
@@ -65,11 +62,6 @@ class HRCell:
 
     cell: CellId
     is_boundary: bool
-
-
-def _region_segments(region: Polygon | MultiPolygon) -> np.ndarray:
-    """Boundary segments as an ``(m, 4)`` array of ``(x1, y1, x2, y2)``."""
-    return _boundary_segment_array(region)
 
 
 def _segment_bboxes(segments: np.ndarray) -> np.ndarray:
@@ -90,9 +82,9 @@ def _slab_clip_hits(
     """Exact slab (Liang–Barsky) clip mask: does each segment cross its box?
 
     ``segs`` is an ``(m, 4)`` array of segment endpoints; the box coordinates
-    may be scalars (one box against many segments — the recursive oracle) or
-    per-segment arrays (one box per (cell, candidate) pair — the frontier
-    sweep).  Both build backends resolve boundary membership through this one
+    may be scalars (one box against many segments — the recursive test
+    oracle) or per-segment arrays (one box per (cell, candidate) pair — the
+    frontier sweep).  Both resolve boundary membership through this one
     kernel, so their bit-identical-cell-set contract cannot drift.
     """
     x1, y1, x2, y2 = segs[:, 0], segs[:, 1], segs[:, 2], segs[:, 3]
@@ -106,30 +98,6 @@ def _slab_clip_hits(
     t_enter = np.maximum(np.minimum(tx1, tx2), np.minimum(ty1, ty2))
     t_exit = np.minimum(np.maximum(tx1, tx2), np.maximum(ty1, ty2))
     return (t_enter <= t_exit) & (t_exit >= 0.0) & (t_enter <= 1.0)
-
-
-def _intersecting(
-    segments: np.ndarray, seg_boxes: np.ndarray, idx: np.ndarray, box: BoundingBox
-) -> np.ndarray:
-    """Indices (subset of ``idx``) of segments that truly intersect ``box``.
-
-    A cheap bounding-box rejection is followed by the exact slab clip test,
-    so cells that merely fall inside the bounding box of a long diagonal
-    edge are not treated as boundary cells — that would both blow up the
-    cell count and violate the distance bound.
-    """
-    boxes = seg_boxes[idx]
-    keep = ~(
-        (boxes[:, 0] > box.max_x)
-        | (boxes[:, 2] < box.min_x)
-        | (boxes[:, 1] > box.max_y)
-        | (boxes[:, 3] < box.min_y)
-    )
-    candidates = idx[keep]
-    if candidates.size == 0:
-        return candidates
-    hit = _slab_clip_hits(segments[candidates], box.min_x, box.min_y, box.max_x, box.max_y)
-    return candidates[hit]
 
 
 def _start_cell(frame: GridFrame, region_bounds: BoundingBox, max_level: int) -> CellId:
@@ -176,11 +144,10 @@ def _classify_cells(
     cells inherited from their parents (indices into ``slabs.segments``, whose
     bounding boxes are ``seg_boxes``).  ``cell_rids`` tags each cell with the
     index of its region in ``slabs`` — the suite-wide sweep classifies the
-    frontiers of many regions in one call; single-region sweeps pass a
-    one-region table and a zero tag array.  Returns ``(kind, offsets, idx)``:
+    frontiers of many regions in one call.  Returns ``(kind, offsets, idx)``:
     ``kind[k]`` is 0 (outside), 1 (boundary) or 2 (inside) and
     ``(offsets, idx)`` is the CSR of surviving segments per cell — the same
-    bounding-box rejection + exact slab clip as :func:`_intersecting`, run
+    bounding-box rejection + exact slab clip as the scalar oracle's, run
     over all (cell, candidate) pairs at once, followed by one segmented
     centre test (:meth:`RegionSlabs.contains`) for the cells no segment
     survived, whatever their regions.  That test is elementwise, so every
@@ -366,20 +333,16 @@ class HierarchicalRasterApproximation(GeometricApproximation):
         frame: GridFrame,
         epsilon: float,
         conservative: bool = True,
-        engine: "str | None" = None,
     ) -> "HierarchicalRasterApproximation":
         """Build an HR approximation satisfying the Hausdorff bound ``epsilon``.
 
         Boundary cells are refined down to the finest level implied by the
         bound (cell diagonal at most ``epsilon``); interior cells stay as
-        coarse as the boundary allows.  ``engine`` picks the build backend —
-        the ``python`` per-cell recursion oracle, or the ``vectorized``
-        level-synchronous frontier sweep (default); both emit the identical
-        cell set, so the choice is purely a construction-speed knob.
+        coarse as the boundary allows.
         """
         from repro.approx.build_engine import get_build_engine
 
-        return get_build_engine(engine).build_bound(
+        return get_build_engine().build_bound(
             region, frame, epsilon, conservative=conservative
         )
 
@@ -417,19 +380,13 @@ class HierarchicalRasterApproximation(GeometricApproximation):
         max_cells: int,
         conservative: bool = True,
         max_level: int = MAX_LEVEL,
-        engine: "str | None" = None,
     ) -> "HierarchicalRasterApproximation":
-        """Build an HR approximation using at most ``max_cells`` cells.
-
-        ``engine`` picks the build backend (``python`` recursion oracle or the
-        ``vectorized`` frontier sweep, the default); both emit the identical
-        cell set.
-        """
+        """Build an HR approximation using at most ``max_cells`` cells."""
         from repro.approx.build_engine import get_build_engine
 
         if max_cells < 1:
             raise ApproximationError("cell budget must be at least 1")
-        return get_build_engine(engine).build_hr(
+        return get_build_engine().build_hr(
             region, frame, max_level=max_level, max_cells=max_cells, conservative=conservative
         )
 
@@ -441,241 +398,20 @@ class HierarchicalRasterApproximation(GeometricApproximation):
         max_cells: int,
         conservative: bool = True,
         max_level: int = MAX_LEVEL,
-        engine: "str | None" = None,
     ) -> "list[HierarchicalRasterApproximation]":
         """Budgeted approximations of a whole polygon suite in one call.
 
-        The fig6 / fig7 workloads build hundreds of approximations; batching
-        them through one :class:`~repro.approx.build_engine.BuildEngine` call
-        keeps the construction loop out of caller code and lets engines share
-        per-suite setup.
+        The fig6 / fig7 workloads build hundreds of approximations; one
+        suite-wide sweep pays the per-level numpy overhead once for all of
+        them.
         """
         from repro.approx.build_engine import get_build_engine
 
         if max_cells < 1:
             raise ApproximationError("cell budget must be at least 1")
-        return get_build_engine(engine).build_hr_batch(
+        return get_build_engine().build_hr_batch(
             regions, frame, max_level=max_level, max_cells=max_cells, conservative=conservative
         )
-
-    @classmethod
-    def _build(
-        cls,
-        region: Polygon | MultiPolygon,
-        frame: GridFrame,
-        max_level: int,
-        max_cells: int | None,
-        conservative: bool,
-    ) -> "HierarchicalRasterApproximation":
-        """Per-cell recursive refinement — the build-engine correctness oracle."""
-        segments = _region_segments(region)
-        seg_boxes = _segment_bboxes(segments)
-        all_idx = np.arange(segments.shape[0])
-        start = _start_cell(frame, region.bounds(), min(max_level, MAX_LEVEL))
-
-        cells: list[HRCell] = []
-
-        def classify(cell: CellId, idx: np.ndarray) -> tuple[str, np.ndarray]:
-            """Return ('inside'|'outside'|'boundary', surviving segment indices)."""
-            box = frame.cell_box(cell)
-            surviving = _intersecting(segments, seg_boxes, idx, box)
-            if surviving.size == 0:
-                cx, cy = frame.cell_center(cell)
-                if point_in_region(cx, cy, region):
-                    return "inside", surviving
-                return "outside", surviving
-            return "boundary", surviving
-
-        def emit_leaf(cell: CellId, idx: np.ndarray) -> None:
-            """Handle a boundary cell that cannot be refined further."""
-            if conservative:
-                cells.append(HRCell(cell, True))
-            else:
-                cx, cy = frame.cell_center(cell)
-                if point_in_region(cx, cy, region):
-                    cells.append(HRCell(cell, True))
-
-        if max_cells is None:
-            # Depth-first refinement down to max_level.
-            stack: list[tuple[CellId, np.ndarray]] = [(start, all_idx)]
-            while stack:
-                cell, idx = stack.pop()
-                kind, surviving = classify(cell, idx)
-                if kind == "inside":
-                    cells.append(HRCell(cell, False))
-                elif kind == "outside":
-                    continue
-                elif cell.level >= max_level:
-                    emit_leaf(cell, surviving)
-                else:
-                    for child in cell.children():
-                        stack.append((child, surviving))
-        else:
-            # Best-first refinement: always split the coarsest boundary cell,
-            # stopping when the budget would be exceeded.
-            counter = 0
-            heap: list[tuple[int, int, CellId, np.ndarray]] = []
-            kind, surviving = classify(start, all_idx)
-            if kind == "inside":
-                cells.append(HRCell(start, False))
-            elif kind == "boundary":
-                heapq.heappush(heap, (start.level, counter, start, surviving))
-                counter += 1
-            total = len(cells) + len(heap)
-            while heap:
-                level, _, cell, idx = heap[0]
-                can_split = level < max_level and (total + 3) <= max_cells
-                if not can_split:
-                    break
-                heapq.heappop(heap)
-                total -= 1
-                for child in cell.children():
-                    child_kind, child_idx = classify(child, idx)
-                    if child_kind == "inside":
-                        cells.append(HRCell(child, False))
-                        total += 1
-                    elif child_kind == "boundary":
-                        heapq.heappush(heap, (child.level, counter, child, child_idx))
-                        counter += 1
-                        total += 1
-            # Whatever is left in the heap becomes boundary leaf cells.
-            while heap:
-                _, _, cell, idx = heapq.heappop(heap)
-                emit_leaf(cell, idx)
-            effective_max = max((c.cell.level for c in cells), default=0)
-            max_level = effective_max
-
-        return cls(region, frame, cells, max_level=max_level, conservative=conservative)
-
-    @classmethod
-    def _build_frontier(
-        cls,
-        region: Polygon | MultiPolygon,
-        frame: GridFrame,
-        max_level: int,
-        max_cells: int | None,
-        conservative: bool,
-    ) -> "HierarchicalRasterApproximation":
-        """Level-synchronous frontier sweep — the vectorised twin of :meth:`_build`.
-
-        Instead of classifying one cell per Python call, the sweep keeps the
-        current refinement level's boundary cells as one code array with CSR
-        candidate-segment lists and classifies every cell of the level in one
-        :func:`_classify_cells` pass.  The budgeted mode replays the oracle's
-        best-first accounting over the batched classification results — the
-        heap of :meth:`_build` pops cells in (level, insertion) order, which
-        is exactly frontier order — so both backends emit the identical cell
-        set, boundary flags included.
-        """
-        slabs = RegionSlabs([region])
-        num_segments = slabs.segments.shape[0]
-        seg_boxes = _segment_bboxes(slabs.segments)
-        max_level = min(max_level, MAX_LEVEL)
-        start = _start_cell(frame, region.bounds(), max_level)
-
-        chunks: list[tuple[np.ndarray, int, bool]] = []
-
-        def emit_interior(codes_arr: np.ndarray, level: int) -> None:
-            if codes_arr.size:
-                chunks.append((codes_arr, level, False))
-
-        def emit_leaves(codes_arr: np.ndarray, level: int) -> None:
-            if not codes_arr.size:
-                return
-            if not conservative:
-                tags = np.zeros(codes_arr.shape[0], dtype=np.int64)
-                codes_arr = codes_arr[_centres_inside(slabs, frame, codes_arr, level, tags)]
-                if not codes_arr.size:
-                    return
-            chunks.append((codes_arr, level, True))
-
-        # Classify the start cell (a one-cell frontier seeded with every segment).
-        codes = np.array([start.code], dtype=np.uint64)
-        level = start.level
-        kind, offsets, idx = _classify_cells(
-            slabs,
-            frame,
-            seg_boxes,
-            codes,
-            level,
-            np.array([0, num_segments], dtype=np.int64),
-            np.arange(num_segments, dtype=np.int64),
-            np.zeros(1, dtype=np.int64),
-        )
-        if kind[0] == 2:
-            emit_interior(codes, level)
-            codes = codes[:0]
-        elif kind[0] == 0:
-            codes = codes[:0]
-        total = sum(c.shape[0] for c, _, _ in chunks) + codes.shape[0]
-
-        while codes.size:
-            if level >= max_level or (
-                max_cells is not None and total + 3 > max_cells
-            ):
-                emit_leaves(codes, level)
-                break
-
-            # Expand every frontier cell: children in parent-major, child-
-            # ascending order (the oracle heap's pop order), each inheriting
-            # its parent's surviving candidate list.
-            n = codes.shape[0]
-            child_codes = children_codes(codes)
-            parent_counts = np.diff(offsets)
-            child_counts = np.repeat(parent_counts, 4)
-            child_idx = idx[expand_slices(np.repeat(offsets[:-1], 4), child_counts)]
-            child_offsets = np.zeros(4 * n + 1, dtype=np.int64)
-            np.cumsum(child_counts, out=child_offsets[1:])
-            ckind, coffsets, cidx = _classify_cells(
-                slabs, frame, seg_boxes, child_codes, level + 1,
-                child_offsets, child_idx, np.zeros(child_codes.shape[0], dtype=np.int64),
-            )
-
-            if max_cells is None:
-                split_upto = n
-            else:
-                # Replay the oracle's sequential budget accounting over the
-                # batched per-parent inside/boundary child counts (prefix
-                # sums + first-failure cutoff; see _replay_budget).
-                kind_grid = ckind.reshape(n, 4)
-                deltas = (
-                    (kind_grid == 2).sum(axis=1) + (kind_grid == 1).sum(axis=1) - 1
-                ).astype(np.int64)
-                upto, new_totals = _replay_budget(
-                    deltas,
-                    np.zeros(1, dtype=np.int64),
-                    np.array([n], dtype=np.int64),
-                    np.array([total], dtype=np.int64),
-                    max_cells,
-                )
-                split_upto = int(upto[0])
-                total = int(new_totals[0])
-
-            split_children = np.repeat(np.arange(n) < split_upto, 4)
-            emit_interior(child_codes[split_children & (ckind == 2)], level + 1)
-
-            frontier_mask = split_children & (ckind == 1)
-            next_codes = child_codes[frontier_mask]
-            # Surviving candidate lists of the new frontier cells only.
-            next_counts = np.diff(coffsets)[frontier_mask]
-            next_idx = cidx[expand_slices(coffsets[:-1][frontier_mask], next_counts)]
-            next_offsets = np.zeros(next_codes.shape[0] + 1, dtype=np.int64)
-            np.cumsum(next_counts, out=next_offsets[1:])
-
-            if split_upto < n:
-                # Budget exhausted mid-level: the unsplit remainder of this
-                # frontier and the already-split boundary children all become
-                # leaf cells, exactly like draining the oracle's heap.
-                emit_leaves(codes[split_upto:], level)
-                emit_leaves(next_codes, level + 1)
-                break
-
-            codes, offsets, idx = next_codes, next_offsets, next_idx
-            level += 1
-
-        if max_cells is not None:
-            max_level = max((lvl for _, lvl, _ in chunks), default=0)
-        return cls._from_chunks(region, frame, chunks, max_level=max_level, conservative=conservative)
 
     @classmethod
     def _build_frontier_suite(
@@ -688,25 +424,24 @@ class HierarchicalRasterApproximation(GeometricApproximation):
     ) -> "list[HierarchicalRasterApproximation]":
         """Suite-wide frontier sweep: all regions' frontiers, one batch per level.
 
-        :meth:`_build_frontier` amortises the per-cell Python cost of the
-        oracle over one region's refinement level; building a whole polygon
-        suite still pays the per-level numpy overhead once *per region per
-        level*.  This sweep keeps a single region-tagged frontier for the
+        Instead of classifying one cell per Python call (the recursive
+        oracle), the sweep keeps a single region-tagged frontier for the
         entire suite — one concatenated candidate-code array per level, CSR
         candidate-segment lists over one global segment array keyed by
         ``(region, cell)``, and one batched :func:`_classify_cells` centre
         test — so a level costs one batch of array passes no matter how many
-        regions are refining.
+        regions are refining.  A single-region build is a one-region suite.
 
         Bit-identical contract: the frontier is kept region-major (stable
         sort by region tag after every merge), every cell inherits exactly
-        the candidate list it would have inherited in its own per-region
-        sweep, and the oracle's best-first budget accounting is replayed
-        sequentially per region over its contiguous parent slice.  Every cell
-        therefore sees the same boxes, the same surviving segments and the
-        same centre verdicts as in :meth:`_build_frontier`, and each region's
-        emitted cell set — codes, levels and boundary flags — matches both
-        existing backends exactly.
+        the candidate list it would inherit refining its region alone, and
+        the oracle's best-first budget accounting is replayed sequentially
+        per region over its contiguous parent slice — the oracle's heap pops
+        cells in (level, insertion) order, which is exactly frontier order.
+        Every cell therefore sees the same boxes, the same surviving segments
+        and the same centre verdicts as in the oracle, and each region's
+        emitted cell set — codes, levels and boundary flags — matches it
+        exactly.
         """
         max_level = min(max_level, MAX_LEVEL)
         num = len(regions)
@@ -999,8 +734,8 @@ class HierarchicalRasterApproximation(GeometricApproximation):
 
         This is the bulk-loading interface: :meth:`FlatACT.from_cells` and the
         batch trie loader consume these arrays directly, so an approximation
-        built by the vectorized engine flows into the index without ever
-        materialising per-cell Python objects.
+        flows into the index without ever materialising per-cell Python
+        objects.
         """
         return self._codes, self._levels, self._boundary
 

@@ -3,7 +3,7 @@
 Every batch probe API (:meth:`FlatACT.lookup_points`,
 :meth:`RStarTree.query_points`, :meth:`ShapeIndex.query_points`) produces its
 matches as chunks of ``(point index, id)`` pairs and must return them in the
-same point-major CSR layout — and in a *stable* order, because the engine's
+same point-major CSR layout — and in a *stable* order, because the kernels'
 bit-identical-aggregation guarantee depends on every polygon receiving its
 float additions in ascending point order.  Centralising the assembly here
 keeps the probe paths from drifting apart.

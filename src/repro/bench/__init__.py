@@ -3,8 +3,6 @@
 from repro.bench.harness import (
     BenchScale,
     Measurement,
-    build_engines_from_env,
-    engines_from_env,
     is_smoke_run,
     measure,
     scale_from_env,
@@ -22,9 +20,7 @@ __all__ = [
     "BenchScale",
     "Measurement",
     "append_run_record",
-    "build_engines_from_env",
     "default_records_path",
-    "engines_from_env",
     "format_ratio",
     "format_table",
     "is_smoke_run",

@@ -19,8 +19,6 @@ from repro.obs import trace
 __all__ = [
     "BenchScale",
     "Measurement",
-    "build_engines_from_env",
-    "engines_from_env",
     "is_smoke_run",
     "measure",
     "scale_from_env",
@@ -98,50 +96,6 @@ def scale_from_env() -> BenchScale:
         ingest_points=int(os.environ.get("REPRO_BENCH_INGEST_POINTS", base.ingest_points)),
         ingest_batches=int(os.environ.get("REPRO_BENCH_INGEST_BATCHES", base.ingest_batches)),
     )
-
-
-def engines_from_env() -> tuple[str, ...]:
-    """Probe engines the benchmarks should run, from ``REPRO_BENCH_ENGINES``.
-
-    The default runs both backends so every figure reports the python-loop
-    oracle next to the vectorized engine; set e.g.
-    ``REPRO_BENCH_ENGINES=vectorized`` to sweep only one.
-    """
-    from repro.query.engine import ENGINES
-
-    raw = os.environ.get("REPRO_BENCH_ENGINES", "python,vectorized")
-    engines = tuple(name.strip() for name in raw.split(",") if name.strip())
-    if not engines:
-        raise ValueError("REPRO_BENCH_ENGINES must name at least one engine")
-    unknown = [name for name in engines if name not in ENGINES]
-    if unknown:
-        raise ValueError(
-            f"REPRO_BENCH_ENGINES names unknown engines {unknown} "
-            f"(expected a subset of {', '.join(ENGINES)})"
-        )
-    return engines
-
-
-def build_engines_from_env() -> tuple[str, ...]:
-    """Build engines the benchmarks should run, from ``REPRO_BENCH_BUILD_ENGINES``.
-
-    The default runs all three backends so the build-phase records always
-    report the per-insert oracle next to the per-region and suite-wide batch
-    engines; set e.g. ``REPRO_BENCH_BUILD_ENGINES=suite`` to sweep only one.
-    """
-    from repro.approx.build_engine import BUILD_ENGINES
-
-    raw = os.environ.get("REPRO_BENCH_BUILD_ENGINES", "python,vectorized,suite")
-    engines = tuple(name.strip() for name in raw.split(",") if name.strip())
-    if not engines:
-        raise ValueError("REPRO_BENCH_BUILD_ENGINES must name at least one engine")
-    unknown = [name for name in engines if name not in BUILD_ENGINES]
-    if unknown:
-        raise ValueError(
-            f"REPRO_BENCH_BUILD_ENGINES names unknown engines {unknown} "
-            f"(expected a subset of {', '.join(BUILD_ENGINES)})"
-        )
-    return engines
 
 
 @dataclass(slots=True)

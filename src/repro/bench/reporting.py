@@ -7,9 +7,8 @@ dependencies.
 
 Benchmarks additionally emit one machine-readable **run record** per
 measurement (:func:`run_record` + :func:`append_run_record`).  Each record
-carries the probe ``engine`` that produced the number and the probe
-throughput in points per second, so the performance trajectory of both
-backends stays comparable across PRs.  Records are appended as JSON lines to
+carries the probe throughput in points per second, so the performance
+trajectory stays comparable across PRs.  Records are appended as JSON lines to
 the path in ``REPRO_BENCH_JSON`` (default ``.benchmarks/runs.jsonl``).
 """
 
@@ -81,8 +80,6 @@ def run_record(
     name: str,
     seconds: float,
     *,
-    engine: str | None = None,
-    build_engine: str | None = None,
     num_points: int | None = None,
     build_seconds: float | None = None,
     probe_seconds: float | None = None,
@@ -100,12 +97,6 @@ def run_record(
         (e.g. ``"fig6"`` and ``"act:neighborhoods"``).
     seconds:
         Probe (or wall) time of the measurement.
-    engine:
-        Probe backend that produced the number (``python`` / ``vectorized``;
-        ``None`` for strategies without a probe engine, e.g. BRJ).
-    build_engine:
-        Construction backend that built the index / approximations
-        (``python`` / ``vectorized``; ``None`` when not applicable).
     num_points:
         Number of probe points; together with ``seconds`` it yields the
         ``points_per_second`` throughput field.
@@ -130,8 +121,6 @@ def run_record(
         "unix_time": time.time(),
         "bench": bench,
         "name": name,
-        "engine": engine,
-        "build_engine": build_engine,
         "seconds": seconds,
         "build_seconds": build_seconds,
         "probe_seconds": probe_seconds,

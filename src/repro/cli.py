@@ -48,9 +48,9 @@ Commands
 invalidation, flush and compaction events.
 
 Every query command routes through the :class:`repro.api.SpatialDataset`
-facade: one dataset owns the workload's frame, the polygon suite, the engine
-configuration from ``--engine`` / ``--build-engine`` and the polygon-index
-registry, and each strategy executes as a planned query over it.
+facade: one dataset owns the workload's frame, the polygon suite, the shard
+configuration and the polygon-index registry, and each strategy executes as
+a planned query over it.
 
 Examples
 --------
@@ -78,10 +78,6 @@ from repro.bench import print_table
 from repro.data import NYCWorkload
 from repro.geometry.measures import complexity_summary
 from repro.query import (
-    BUILD_ENGINES,
-    DEFAULT_BUILD_ENGINE,
-    DEFAULT_ENGINE,
-    ENGINES,
     AggregationQuery,
     exact_join_reference,
     explain,
@@ -119,28 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="execution strategy to run",
     )
     join.add_argument("--epsilon", type=float, default=4.0, help="distance bound in metres")
-    join.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default=DEFAULT_ENGINE,
-        help=(
-            "probe backend for the point-probe strategies (act, rtree, shape-index): "
-            "per-point python loops or the batch vectorized engine; brj and "
-            "gpu-baseline run on the raster/device pipeline and ignore this flag"
-        ),
-    )
-    join.add_argument(
-        "--build-engine",
-        choices=BUILD_ENGINES,
-        default=DEFAULT_BUILD_ENGINE,
-        help=(
-            "construction backend for the raster-approximation strategies "
-            "(act, shape-index): per-cell python recursion and trie inserts, "
-            "the per-region vectorized frontier sweep, or the suite-wide "
-            "sweep that classifies all regions' frontiers in one "
-            "region-tagged batch per level (default)"
-        ),
-    )
     _add_shard_arguments(join)
 
     estimate = subparsers.add_parser("estimate", help="result-range estimation per region")
@@ -154,18 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--execute",
         action="store_true",
         help="run the chosen plan and print the result summary and timing",
-    )
-    plan.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default=DEFAULT_ENGINE,
-        help="probe backend used when --execute runs a point-probe plan",
-    )
-    plan.add_argument(
-        "--build-engine",
-        choices=BUILD_ENGINES,
-        default=DEFAULT_BUILD_ENGINE,
-        help="construction backend used when --execute builds an index",
     )
     _add_shard_arguments(plan)
 
@@ -191,18 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-compact",
         action="store_true",
         help="disable size-tiered compaction (runs accumulate per flush)",
-    )
-    store.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default=DEFAULT_ENGINE,
-        help="probe backend for the interleaved store queries",
-    )
-    store.add_argument(
-        "--build-engine",
-        choices=BUILD_ENGINES,
-        default=DEFAULT_BUILD_ENGINE,
-        help="construction backend for the polygon index the queries probe",
     )
     store.add_argument(
         "--wal",
@@ -239,12 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
             "after recovery, compare an aggregation join against a "
             "from-scratch rebuild of the live point set (bit-exact)"
         ),
-    )
-    recover.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default=DEFAULT_ENGINE,
-        help="probe backend for the --verify joins",
     )
 
     serve = subparsers.add_parser(
@@ -283,18 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
         action=argparse.BooleanOptionalAction,
         default=True,
         help="also run the max_batch=1 serial-dispatch baseline for comparison",
-    )
-    serve.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default=DEFAULT_ENGINE,
-        help="probe backend for the served joins",
-    )
-    serve.add_argument(
-        "--build-engine",
-        choices=BUILD_ENGINES,
-        default=DEFAULT_BUILD_ENGINE,
-        help="construction backend for the polygon index the server probes",
     )
     serve.add_argument(
         "--level", type=int, default=12, help="linearization level of the store runs"
@@ -348,18 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
             "scale:POS:FACTOR | add:N | remove:POS | noop:POS "
             "(noop re-applies a polygon unchanged — the fingerprint skip)"
         ),
-    )
-    suite_cmd.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default=DEFAULT_ENGINE,
-        help="probe backend for the parity joins",
-    )
-    suite_cmd.add_argument(
-        "--build-engine",
-        choices=BUILD_ENGINES,
-        default=DEFAULT_BUILD_ENGINE,
-        help="construction backend for the patched and rebuilt indexes",
     )
 
     return parser
@@ -415,11 +335,7 @@ def _build_workload(args: argparse.Namespace):
 def _build_dataset(args: argparse.Namespace):
     """The workload wrapped in a :class:`SpatialDataset` facade session."""
     workload, points, regions = _build_workload(args)
-    config = EngineConfig(
-        engine=getattr(args, "engine", None),
-        build_engine=getattr(args, "build_engine", None),
-        workers=getattr(args, "workers", 0),
-    )
+    config = EngineConfig(workers=getattr(args, "workers", 0))
     dataset = SpatialDataset(
         points,
         frame=workload.frame(),
@@ -491,13 +407,10 @@ def _cmd_join(args: argparse.Namespace) -> int:
             seconds = result.wall_seconds
             pip = getattr(result, "pip_tests", 0)
         error = median_relative_error(result.counts, reference.counts)
-        # BRJ / the GPU baseline run on the rasterization pipeline, not on a
-        # point-probe engine; label them by their execution model instead.
-        backend = getattr(result, "engine", None) or {"brj": "raster", "gpu-baseline": "device"}[name]
-        rows.append([name, backend, round(seconds, 3), round(build, 3), pip, f"{error:.3%}"])
+        rows.append([name, round(seconds, 3), round(build, 3), pip, f"{error:.3%}"])
     sharding = f", shards={args.shards} workers={args.workers}" if args.shards else ""
     print_table(
-        ["strategy", "engine", "seconds", "build s", "exact tests", "median rel. error"],
+        ["strategy", "seconds", "build s", "exact tests", "median rel. error"],
         rows,
         title=(
             f"Spatial aggregation join ({len(points):,} points x {len(regions)} regions, "
@@ -607,9 +520,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
     dataset = SpatialDataset(
         store,
         suites={args.suite: regions},
-        config=EngineConfig(
-            engine=args.engine, build_engine=args.build_engine, workers=args.workers
-        ),
+        config=EngineConfig(workers=args.workers),
     )
     spec = AggregationQuery(epsilon=args.epsilon, suite=args.suite)
 
@@ -654,10 +565,8 @@ def _cmd_store(args: argparse.Namespace) -> int:
     # One index instance serves both sides of the parity check, so the
     # comparison isolates the store's fan-out from index construction.
     trie = dataset.act_index(args.suite, args.epsilon)
-    final = store.act_join(regions, epsilon=args.epsilon, trie=trie, engine=args.engine)
-    reference = store.rebuilt().act_join(
-        regions, epsilon=args.epsilon, trie=trie, engine=args.engine
-    )
+    final = store.act_join(regions, epsilon=args.epsilon, trie=trie)
+    reference = store.rebuilt().act_join(regions, epsilon=args.epsilon, trie=trie)
     parity = bool(
         np.array_equal(final.counts, reference.counts)
         and np.array_equal(final.aggregates, reference.aggregates)
@@ -668,8 +577,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
         ["batch", "inserted", "deleted", "runs", "ingest ms", "join ms", "index"],
         rows,
         title=(
-            f"Streaming ingest (engine={args.engine}, build-engine={args.build_engine}, "
-            f"eps={args.epsilon} m, level={args.level})"
+            f"Streaming ingest (eps={args.epsilon} m, level={args.level})"
         ),
     )
     summary = [
@@ -771,8 +679,8 @@ def _cmd_recover(args: argparse.Namespace) -> int:
                     )
                 )
             )
-    recovered = store.act_join(regions, epsilon=4.0, engine=args.engine)
-    rebuilt = store.rebuilt().act_join(regions, epsilon=4.0, engine=args.engine)
+    recovered = store.act_join(regions, epsilon=4.0)
+    rebuilt = store.rebuilt().act_join(regions, epsilon=4.0)
     parity = bool(
         np.array_equal(recovered.counts, rebuilt.counts)
         and np.array_equal(recovered.aggregates, rebuilt.aggregates)
@@ -798,14 +706,11 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     from repro.store import SpatialStore
 
     workload, points, regions = _build_workload(args)
-    config = EngineConfig(engine=args.engine, build_engine=args.build_engine)
     tracer = trace.enable() if args.trace else None
 
     def fresh_dataset():
         store = SpatialStore.from_points(points, workload.frame(), args.level)
-        return SpatialDataset(
-            store, extent=workload.extent, suites={args.suite: regions}, config=config
-        )
+        return SpatialDataset(store, extent=workload.extent, suites={args.suite: regions})
 
     modes = [("coalesced", args.max_batch)]
     if args.serial_baseline:
@@ -852,8 +757,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         rows,
         title=(
             f"Serving layer ({len(points):,} points x {len(regions)} regions, "
-            f"{args.clients} clients, {args.duration}s, eps={args.epsilon} m, "
-            f"engine={args.engine})"
+            f"{args.clients} clients, {args.duration}s, eps={args.epsilon} m)"
         ),
     )
     if "serial" in qps:
@@ -946,13 +850,12 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     """
     import time
 
-    from repro.approx.build_engine import get_build_engine
+    from repro.index.flat_act import FlatACT
 
     workload, points, regions, dataset = _build_dataset(args)
     ops = _parse_suite_script(args.script)
     spec = AggregationQuery(epsilon=args.epsilon, suite=args.suite)
     dataset.act_index(args.suite, args.epsilon)  # prebuild the patch target
-    builder = get_build_engine(args.build_engine)
 
     rows = []
     for op in ops:
@@ -985,7 +888,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         patch_ms = (time.perf_counter() - start) * 1e3
         after = list(dataset.suite(args.suite).regions)
         start = time.perf_counter()
-        builder.load_act(after, dataset.frame, epsilon=args.epsilon)
+        FlatACT.build(after, dataset.frame, args.epsilon)
         rebuild_ms = (time.perf_counter() - start) * 1e3
         rows.append(
             [
@@ -1016,8 +919,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         rows,
         title=(
             f"Live suite mutations ({len(points):,} points, "
-            f"{len(regions)} -> {len(final_regions)} regions, eps={args.epsilon} m, "
-            f"build-engine={args.build_engine})"
+            f"{len(regions)} -> {len(final_regions)} regions, eps={args.epsilon} m)"
         ),
     )
     print_table(

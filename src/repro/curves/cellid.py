@@ -75,7 +75,7 @@ class CellId:
         ``(ix[k], iy[k])`` — the array equivalent of ``CellId.from_xy(...).code``
         per point (``curve="morton"``) or of :func:`repro.curves.hilbert.hilbert_encode`
         per point (``curve="hilbert"``).  This is the entry point of the batch
-        probe engine: every query strategy linearizes its probe points through
+        probe kernels: every query strategy linearizes its probe points through
         one call instead of one :class:`CellId` object per point.
         """
         if curve == "morton":

@@ -11,7 +11,8 @@ node restartable (see ``examples/restartable_serving.py``).
 Layout::
 
     session/
-      session.json          # commit point: kind, level, config, suite index
+      session.json          # commit point: kind, level, frame, extent, config
+                            # (shard workers), suite index
       suites/
         suite_0000.wkt      # one WKT geometry per line, suite order
       points.npz            # static sessions: the immutable point set
@@ -55,19 +56,8 @@ __all__ = ["SESSION_VERSION", "open_session", "save_session"]
 
 #: Schema version written into ``session.json``.
 SESSION_VERSION = 1
-
-
-def _engine_name(value) -> "str | None":
-    """The persistable name of an engine field (``None`` = library default)."""
-    if value is None or isinstance(value, str):
-        return value
-    name = getattr(value, "name", None)
-    if name is None:
-        raise StoreError(
-            f"cannot persist engine {value!r}: no registry name "
-            "(pass engines by name to a session meant to be checkpointed)"
-        )
-    return str(name)
+#: Manifest keys :func:`open_session` cannot do without.
+_REQUIRED_KEYS = ("kind", "level", "frame", "extent", "suites")
 
 
 def _lossless_wkt(geometry) -> str:
@@ -150,7 +140,6 @@ def save_session(dataset, directory, *, sync: bool = True) -> Path:
                 }
             )
 
-        config = dataset.config
         manifest = {
             "format_version": SESSION_VERSION,
             "kind": kind,
@@ -167,11 +156,7 @@ def save_session(dataset, directory, *, sync: bool = True) -> Path:
                 "origin_y": float(dataset.frame.origin_y),
                 "size": float(dataset.frame.size),
             },
-            "config": {
-                "engine": _engine_name(config.engine),
-                "build_engine": _engine_name(config.build_engine),
-                "workers": int(config.workers),
-            },
+            "config": {"workers": int(dataset.config.workers)},
             "suites": suites,
         }
         _write_atomic(
@@ -255,7 +240,10 @@ def open_session(
     (cost model and device specs are not serialisable and always come from
     the override or the defaults).  ``durable`` / ``sync`` pass through to
     the store open — store-backed sessions replay their WALs here, and the
-    dataset's ``store.last_recovery`` reports what came back.
+    dataset's ``store.last_recovery`` reports what came back.  Manifests
+    that still carry ``config.engine`` / ``config.build_engine`` (written
+    when the library had selectable backends) open unchanged; both keys are
+    ignored.
 
     Raises
     ------
@@ -273,31 +261,16 @@ def open_session(
     if not manifest_path.exists():
         raise StoreError(f"no session manifest in {directory}")
     with trace.span("session.open", directory=str(directory)):
-        manifest = json.loads(manifest_path.read_text())
-        version = int(manifest.get("format_version", -1))
-        if version != SESSION_VERSION:
-            raise StoreError(
-                f"unsupported session version {version} "
-                f"(this build reads version {SESSION_VERSION})"
-            )
+        manifest = _read_manifest(manifest_path)
         if config is None:
-            saved = manifest.get("config", {})
-            config = EngineConfig(
-                engine=saved.get("engine"),
-                build_engine=saved.get("build_engine"),
-                workers=int(saved.get("workers", 0)),
-            )
+            config = EngineConfig(workers=manifest["workers"])
 
         kind = manifest["kind"]
-        kwargs = {"config": config, "level": int(manifest["level"])}
+        kwargs = {"config": config, "level": manifest["level"]}
         if kind == "static":
             source = _load_points(directory / "points.npz")
-            kwargs["frame"] = GridFrame.from_raw(
-                manifest["frame"]["origin_x"],
-                manifest["frame"]["origin_y"],
-                manifest["frame"]["size"],
-            )
-            kwargs["shards"] = manifest.get("shards")
+            kwargs["frame"] = manifest["frame"]
+            kwargs["shards"] = manifest["shards"]
             kwargs["registry"] = registry
         elif kind == "store":
             source = SpatialStore.open(
@@ -311,18 +284,57 @@ def open_session(
             raise StoreError(f"unknown session kind {kind!r}")
 
         dataset = SpatialDataset(source, **kwargs)
-        for entry in manifest.get("suites", []):
-            regions = _load_suite(directory / entry["file"])
-            dataset.add_suite(entry["name"], regions)
-            restored = dataset.suite(entry["name"])
-            if restored.fingerprint != entry["fingerprint"]:
+        for name, file, fingerprint in manifest["suites"]:
+            dataset.add_suite(name, _load_suite(directory / file))
+            restored = dataset.suite(name)
+            if restored.fingerprint != fingerprint:
                 raise StoreError(
-                    f"suite {entry['name']!r} failed fingerprint verification "
-                    f"(stored {entry['fingerprint'][:12]}…, recomputed "
+                    f"suite {name!r} failed fingerprint verification "
+                    f"(stored {fingerprint[:12]}…, recomputed "
                     f"{restored.fingerprint[:12]}…): geometry on disk does not "
                     "match what was checkpointed"
                 )
         return dataset
+
+
+def _read_manifest(path: Path) -> dict:
+    """Parse ``session.json`` into the fields :func:`open_session` uses.
+
+    Every defect — bytes that are not JSON, a missing required key, a value
+    of the wrong shape — surfaces as a :class:`StoreError` naming the file.
+    """
+    try:
+        manifest = json.loads(path.read_text())
+    except (UnicodeDecodeError, ValueError) as exc:
+        raise StoreError(f"malformed session manifest {path}: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise StoreError(f"malformed session manifest {path}: not a JSON object")
+    version = manifest.get("format_version", -1)
+    if version != SESSION_VERSION:
+        raise StoreError(
+            f"unsupported session version {version} "
+            f"(this build reads version {SESSION_VERSION})"
+        )
+    missing = [key for key in _REQUIRED_KEYS if key not in manifest]
+    if missing:
+        raise StoreError(
+            f"malformed session manifest {path}: missing {', '.join(missing)}"
+        )
+    try:
+        frame = manifest["frame"]
+        return {
+            "kind": manifest["kind"],
+            "level": int(manifest["level"]),
+            "frame": GridFrame.from_raw(frame["origin_x"], frame["origin_y"], frame["size"]),
+            "shards": manifest.get("shards"),
+            "workers": int((manifest.get("config") or {}).get("workers", 0)),
+            "suites": [
+                (entry["name"], entry["file"], entry["fingerprint"])
+                for entry in manifest["suites"]
+            ],
+        }
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise StoreError(f"malformed session manifest {path}: bad {exc!r}") from None
 
 
 def _load_points(path: Path) -> PointSet:

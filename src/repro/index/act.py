@@ -83,17 +83,12 @@ class AdaptiveCellTrie:
         frame: GridFrame,
         epsilon: float,
         conservative: bool = True,
-        engine: "str | None" = None,
     ) -> "AdaptiveCellTrie":
         """Index a polygon suite with HR approximations honouring ``epsilon``.
 
-        ``engine`` selects the approximation build backend (see
-        :mod:`repro.approx.build_engine`); loading stays per-insert — this is
-        the build-engine oracle's index path.  The vectorized build engine
-        instead bulk-loads the same cells into a
-        :class:`~repro.index.flat_act.FlatACT` via
-        :meth:`FlatACT.build` / :meth:`FlatACT.from_cells`, bypassing the
-        pointer trie entirely; both indexes answer probes identically.
+        Loading is per-insert.  :meth:`FlatACT.build` instead bulk-loads the
+        same cells into a :class:`~repro.index.flat_act.FlatACT`, bypassing
+        the pointer trie entirely; both indexes answer probes identically.
         """
         from repro.approx.distance_bound import cell_side_for_bound
 
@@ -101,7 +96,7 @@ class AdaptiveCellTrie:
         trie = cls(frame, max_level)
         for polygon_id, region in enumerate(regions):
             approx = HierarchicalRasterApproximation.from_bound(
-                region, frame, epsilon, conservative=conservative, engine=engine
+                region, frame, epsilon, conservative=conservative
             )
             trie.insert_approximation(polygon_id, approx)
         return trie

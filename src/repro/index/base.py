@@ -94,7 +94,7 @@ class CodeIndex(abc.ABC):
     def count_ranges_batch(self, ranges: np.ndarray) -> int:
         """Total count over an ``(m, 2)`` array of ``[lo, hi)`` ranges.
 
-        Entry point of the vectorized probe engine: one ``np.searchsorted``
+        Entry point of the batch probe kernels: one ``np.searchsorted``
         pair over all range endpoints at once when the index exposes its
         sorted key array (:meth:`sorted_codes`), instead of two instrumented
         scalar lookups per range.  The range counts are exact positional

@@ -229,7 +229,7 @@ class FlatACT:
     ) -> "FlatACT":
         """Bulk-load from parallel ``(polygon_id, code, level)`` arrays.
 
-        This is the vectorized build engine's index-loading kernel: the cell
+        This is the construction path's index-loading kernel: the cell
         arrays of many hierarchical raster approximations are concatenated
         (polygon-major, ascending polygon id) and compressed into the
         sorted-key + CSR-postings layout with one stable sort per level — no
@@ -255,7 +255,6 @@ class FlatACT:
         frame,
         epsilon: float,
         conservative: bool = True,
-        build_engine=None,
         fingerprints: "tuple[str, ...] | None" = None,
     ) -> "FlatACT":
         """Index a polygon suite's distance-bounded approximations directly.
@@ -270,9 +269,10 @@ class FlatACT:
         from repro.approx.build_engine import get_build_engine
         from repro.approx.distance_bound import cell_side_for_bound
 
-        engine = get_build_engine(build_engine)
         max_level = frame.level_for_cell_side(cell_side_for_bound(epsilon))
-        approxes = engine.build_bound_batch(regions, frame, epsilon, conservative=conservative)
+        approxes = get_build_engine().build_bound_batch(
+            regions, frame, epsilon, conservative=conservative
+        )
         pids, codes, levels = concat_cell_arrays(approxes)
         return cls.from_cells(
             frame,
@@ -337,9 +337,9 @@ class FlatACT:
         """Append polygons from their ``(codes, levels)`` cell arrays.
 
         ``cells`` holds one ``(codes, levels)`` pair per new polygon (the
-        build engine's :meth:`~repro.approx.build_engine.BuildEngine.
-        build_cell_arrays` output).  Only the new polygons' postings are
-        built — one delta segment — and existing arrays are untouched.
+        :meth:`~repro.approx.build_engine.HRBuilder.build_cell_arrays`
+        output).  Only the new polygons' postings are built — one delta
+        segment — and existing arrays are untouched.
         Returns the new polygons' dense ids.
         """
         if not cells:
@@ -830,10 +830,9 @@ class FlatACT:
     def lookup_points_batch(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Alias of :meth:`lookup_points`, mirroring the trie's batch API.
 
-        The probe engines call ``index.lookup_points_batch`` /
-        ``index.lookup_point`` without caring whether the ACT index behind it
-        is the pointer trie or this flat representation, so a bulk-loaded
-        FlatACT can drive the join directly.
+        The probe kernels call ``index.lookup_points_batch`` without caring
+        whether the ACT index behind it is the pointer trie or this flat
+        representation, so a bulk-loaded FlatACT can drive the join directly.
         """
         return self.lookup_points(xs, ys)
 

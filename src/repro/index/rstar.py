@@ -303,7 +303,7 @@ class RStarTree(SpatialPointIndex):
                 self._collect_point(child, x, y, out)
 
     # ------------------------------------------------------------------ #
-    # batch probes (vectorized engine)
+    # batch probes
     # ------------------------------------------------------------------ #
     def batch_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """All leaf entries as ``(boxes (E, 4), items (E,))`` arrays, cached.

@@ -44,11 +44,10 @@ class ShapeIndex:
     max_cells_per_shape:
         Size of the coarse covering of each region (S2ShapeIndex uses a
         similar per-shape cell budget).  Not a distance bound.
-    build_engine:
-        Backend that constructs the coverings (see
-        :mod:`repro.approx.build_engine`); the default vectorized engine
-        sweeps each covering level-synchronously and the cell arrays are
-        bulk-assembled into the flat layout without per-cell Python objects.
+
+    All coverings come from one suite-wide frontier sweep and their cell
+    arrays are bulk-assembled into the flat layout without per-cell Python
+    objects.
     """
 
     def __init__(
@@ -57,7 +56,6 @@ class ShapeIndex:
         frame: GridFrame,
         max_cells_per_shape: int = 32,
         max_level: int = 20,
-        build_engine: "str | None" = None,
     ) -> None:
         if max_cells_per_shape < 1:
             raise IndexError_("max_cells_per_shape must be at least 1")
@@ -73,7 +71,6 @@ class ShapeIndex:
             max_cells=max_cells_per_shape,
             conservative=True,
             max_level=max_level,
-            engine=build_engine,
         )
         pids, codes, levels = concat_cell_arrays(approxes)
         self.num_cells = int(codes.shape[0])

@@ -1,11 +1,5 @@
 """Query layer: containment queries, joins, range estimation and optimization."""
 
-from repro.approx.build_engine import (
-    BUILD_ENGINES,
-    DEFAULT_BUILD_ENGINE,
-    BuildEngine,
-    get_build_engine,
-)
 from repro.query.accuracy import (
     PrecisionRecall,
     max_distance_to_boundary,
@@ -20,15 +14,7 @@ from repro.query.containment import (
     polygon_query_ranges,
     raster_count,
 )
-from repro.query.engine import (
-    DEFAULT_ENGINE,
-    ENGINES,
-    ProbeEngine,
-    ProbeOutcome,
-    PythonLoopEngine,
-    VectorizedEngine,
-    get_engine,
-)
+from repro.query.engine import ProbeOutcome
 from repro.query.join_brj import BRJResult, bounded_raster_join
 from repro.query.join_gpu_baseline import GPUBaselineResult, gpu_baseline_join
 from repro.query.join_mm import (
@@ -66,16 +52,8 @@ __all__ = [
     "Aggregate",
     "AggregationQuery",
     "BRJResult",
-    "BUILD_ENGINES",
-    "BuildEngine",
     "CostModel",
-    "DEFAULT_BUILD_ENGINE",
-    "DEFAULT_ENGINE",
-    "ENGINES",
-    "ProbeEngine",
     "ProbeOutcome",
-    "PythonLoopEngine",
-    "VectorizedEngine",
     "GPUBaselineResult",
     "JoinResult",
     "LinearizedPoints",
@@ -98,8 +76,6 @@ __all__ = [
     "execute_plan",
     "explain",
     "filter_refine_plan",
-    "get_build_engine",
-    "get_engine",
     "gpu_baseline_join",
     "histogram_selectivity",
     "max_distance_to_boundary",

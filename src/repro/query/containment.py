@@ -29,7 +29,7 @@ from repro.geometry.point import PointSet
 from repro.geometry.polygon import MultiPolygon, Polygon
 from repro.grid.uniform_grid import GridFrame
 from repro.index.base import CodeIndex, SpatialPointIndex
-from repro.query.engine import get_engine
+from repro.query.engine import count_ranges
 
 __all__ = [
     "LinearizedPoints",
@@ -77,13 +77,10 @@ def polygon_query_ranges(
     linearized: LinearizedPoints,
     cells_per_polygon: int,
     conservative: bool = True,
-    build_engine: "str | None" = None,
 ) -> list[tuple[int, int]]:
     """Decompose a query polygon into 1D key ranges at the given precision.
 
     ``cells_per_polygon`` is the paper's precision knob (32 / 128 / 512 cells).
-    ``build_engine`` selects the budgeted-refinement backend (python oracle /
-    vectorized frontier sweep); both emit identical query cells.
     """
     approx = HierarchicalRasterApproximation.from_cell_budget(
         region,
@@ -91,7 +88,6 @@ def polygon_query_ranges(
         max_cells=cells_per_polygon,
         conservative=conservative,
         max_level=linearized.level,
-        engine=build_engine,
     )
     return approx.query_ranges(linearized.level)
 
@@ -102,22 +98,14 @@ def raster_count(
     index: CodeIndex,
     cells_per_polygon: int,
     conservative: bool = True,
-    engine: "str | None" = None,
-    build_engine: "str | None" = None,
 ) -> int:
     """Approximate count of points inside ``region`` via query cells + a code index.
 
-    The ``engine`` backend decides how the key ranges hit the index: the
-    ``python`` backend runs one instrumented ``count_range`` per query cell,
-    the ``vectorized`` backend (default) resolves all ranges in one
+    All key ranges hit the index in one
     :meth:`~repro.index.base.CodeIndex.count_ranges_batch` call.
-    ``build_engine`` independently selects the query-cell construction
-    backend.
     """
-    ranges = polygon_query_ranges(
-        region, linearized, cells_per_polygon, conservative, build_engine=build_engine
-    )
-    return get_engine(engine).count_ranges(index, ranges)
+    ranges = polygon_query_ranges(region, linearized, cells_per_polygon, conservative)
+    return count_ranges(index, ranges)
 
 
 def mbr_filter_count(region: Polygon | MultiPolygon, index: SpatialPointIndex) -> int:

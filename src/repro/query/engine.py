@@ -1,28 +1,22 @@
-"""Batch probe engine: the execution backends of the query layer.
+"""Batch probe kernels: the probe phase of every query strategy.
 
 Every query strategy in this library boils down to the same probe phase —
 "for each point, which indexed regions match?" followed by a fused
-aggregation.  This module factors that phase into a :class:`ProbeEngine`
-abstraction with two interchangeable backends:
+aggregation.  The functions here run that phase for all points at once
+through the batch index APIs (:meth:`FlatACT.lookup_points`,
+:meth:`RStarTree.query_points`, :meth:`ShapeIndex.query_points`,
+:meth:`CodeIndex.count_ranges_batch`) and fuse the aggregation over the CSR
+match lists with ``np.add.at`` / ``np.bincount``.
 
-* ``python`` — the original per-point index-nested loops.  Every probe walks
-  the index from Python, exactly as the seed reproduction did.  This backend
-  is kept as the **correctness oracle**: its per-polygon accumulation order
-  defines the reference result.
-* ``vectorized`` — the batch backend.  All points are probed at once through
-  the batch index APIs (:meth:`FlatACT.lookup_points`,
-  :meth:`RStarTree.query_points`, :meth:`ShapeIndex.query_points`,
-  :meth:`CodeIndex.count_ranges_batch`) and the aggregation is fused over the
-  CSR match lists with ``np.add.at`` / ``np.bincount``.
-
-The vectorized backend reproduces the python backend's accumulation **bit for
-bit**: the CSR match lists are point-major, so for every polygon the float
-additions happen in ascending point order — the same order the per-point loop
-uses — and ``np.add.at`` applies them unbuffered in sequence.  For the ACT
-join (no geometric tests) the parity is therefore exact by construction.  The
-exact joins additionally rely on the scalar and vectorized point-in-polygon
-predicates agreeing, which — as in the seed's reference tests — holds except
-for points within a rounding error of an edge's on-boundary threshold.
+The per-point index-nested loops these kernels replaced are kept as the test
+oracle (``tests/oracles/probe_loop.py``), and the kernels reproduce its
+accumulation **bit for bit**: the CSR match lists are point-major, so for
+every polygon the float additions happen in ascending point order — the same
+order the per-point loop uses — and ``np.add.at`` applies them unbuffered in
+sequence.  For the ACT join (no geometric tests) the parity is therefore
+exact by construction.  The exact joins additionally rely on the scalar and
+vectorized point-in-polygon predicates agreeing, which holds except for
+points within a rounding error of an edge's on-boundary threshold.
 """
 
 from __future__ import annotations
@@ -31,23 +25,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import QueryError
-from repro.geometry.predicates import point_in_region
-
 __all__ = [
-    "ENGINES",
-    "DEFAULT_ENGINE",
-    "ProbeEngine",
     "ProbeOutcome",
-    "PythonLoopEngine",
-    "VectorizedEngine",
-    "get_engine",
+    "count_ranges",
+    "probe_act",
+    "probe_rtree",
+    "probe_shape_index",
 ]
-
-#: Names of the available backends.
-ENGINES = ("python", "vectorized")
-#: Backend used when the caller does not choose one.
-DEFAULT_ENGINE = "vectorized"
 
 
 @dataclass(slots=True)
@@ -61,199 +45,83 @@ class ProbeOutcome:
     extra: dict = field(default_factory=dict)
 
 
-class ProbeEngine:
-    """One execution backend of the probe phase.
+def probe_act(trie, xs, ys, values, num_regions) -> ProbeOutcome:
+    """Approximate probe of the ACT index (no PIP tests).
 
-    Subclasses implement the probe-and-aggregate phase for every index kind
-    the query layer uses.  ``xs``/``ys``/``values`` are equal-length arrays of
-    the (already filtered) probe points and their aggregation values;
-    ``num_regions`` sizes the output groups.
+    ``trie`` is either the pointer :class:`~repro.index.act.AdaptiveCellTrie`
+    or a bulk-loaded :class:`~repro.index.flat_act.FlatACT` — both expose
+    ``lookup_points_batch``.  ``xs``/``ys``/``values`` are equal-length
+    arrays of the (already filtered) probe points and their aggregation
+    values; ``num_regions`` sizes the output groups.
     """
-
-    name: str = "abstract"
-
-    def probe_act(self, trie, xs, ys, values, num_regions) -> ProbeOutcome:
-        """Approximate probe of the ACT index (no PIP tests).
-
-        ``trie`` is either the pointer :class:`~repro.index.act.AdaptiveCellTrie`
-        or a bulk-loaded :class:`~repro.index.flat_act.FlatACT` — both expose
-        the same ``lookup_point`` / ``lookup_points_batch`` surface, so the
-        probe backends are agnostic to which build engine produced the index.
-        """
-        raise NotImplementedError
-
-    def probe_act_pairs(self, trie, xs, ys) -> tuple[np.ndarray, np.ndarray]:
-        """ACT matches as point-major CSR ``(offsets, polygon_ids)`` pairs.
-
-        The aggregation-free half of :meth:`probe_act`: the updatable store
-        fans its probe phase out across memtable and runs, tags each
-        segment's match pairs with global point ids, and fuses the
-        aggregation itself after merging — so it needs the engine-specific
-        *lookup* step (per-point trie walk vs. one batch call) without the
-        per-segment aggregation baked in.
-        """
-        raise NotImplementedError
-
-    def probe_rtree(self, tree, regions, xs, ys, values) -> ProbeOutcome:
-        """Exact filter-and-refine probe: R-tree MBR candidates + PIP."""
-        raise NotImplementedError
-
-    def probe_shape_index(self, shape_index, regions, xs, ys, values) -> ProbeOutcome:
-        """Exact probe: coarse-covering candidates + PIP refinement."""
-        raise NotImplementedError
-
-    def count_ranges(self, index, ranges) -> int:
-        """Total point count of a code index over query-cell key ranges."""
-        raise NotImplementedError
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"{type(self).__name__}(name={self.name!r})"
+    offsets, polygon_ids = trie.lookup_points_batch(xs, ys)
+    point_idx = np.repeat(np.arange(xs.shape[0], dtype=np.int64), np.diff(offsets))
+    sums = np.zeros(num_regions, dtype=np.float64)
+    # Unbuffered scatter-add in point-major order: bitwise identical to the
+    # per-point loop because each polygon receives its additions in the same
+    # (ascending point) order.
+    np.add.at(sums, polygon_ids, values[point_idx])
+    counts = np.bincount(polygon_ids, minlength=num_regions).astype(np.int64)
+    return ProbeOutcome(
+        sums=sums, counts=counts, pip_tests=0, index_probes=int(xs.shape[0])
+    )
 
 
-class PythonLoopEngine(ProbeEngine):
-    """Per-point index-nested loops — the seed behaviour, kept as the oracle."""
-
-    name = "python"
-
-    def probe_act(self, trie, xs, ys, values, num_regions) -> ProbeOutcome:
-        sums = np.zeros(num_regions, dtype=np.float64)
-        counts = np.zeros(num_regions, dtype=np.int64)
-        probes = 0
-        for i in range(xs.shape[0]):
-            matches = trie.lookup_point(float(xs[i]), float(ys[i]))
-            probes += 1
-            for polygon_id in matches:
-                sums[polygon_id] += values[i]
-                counts[polygon_id] += 1
-        return ProbeOutcome(sums=sums, counts=counts, pip_tests=0, index_probes=probes)
-
-    def probe_act_pairs(self, trie, xs, ys) -> tuple[np.ndarray, np.ndarray]:
-        offsets = np.zeros(xs.shape[0] + 1, dtype=np.int64)
-        matches: list[int] = []
-        for i in range(xs.shape[0]):
-            hits = trie.lookup_point(float(xs[i]), float(ys[i]))
-            matches.extend(hits)
-            offsets[i + 1] = offsets[i] + len(hits)
-        return offsets, np.asarray(matches, dtype=np.int64)
-
-    def probe_rtree(self, tree, regions, xs, ys, values) -> ProbeOutcome:
-        return self._filter_refine(tree.query_point, regions, xs, ys, values)
-
-    def probe_shape_index(self, shape_index, regions, xs, ys, values) -> ProbeOutcome:
-        return self._filter_refine(shape_index.candidates, regions, xs, ys, values)
-
-    @staticmethod
-    def _filter_refine(candidates_fn, regions, xs, ys, values) -> ProbeOutcome:
-        sums = np.zeros(len(regions), dtype=np.float64)
-        counts = np.zeros(len(regions), dtype=np.int64)
-        pip_tests = 0
-        probes = 0
-        for i in range(xs.shape[0]):
-            x = float(xs[i])
-            y = float(ys[i])
-            probes += 1
-            for polygon_id in candidates_fn(x, y):
-                pip_tests += 1
-                if point_in_region(x, y, regions[polygon_id]):
-                    sums[polygon_id] += values[i]
-                    counts[polygon_id] += 1
-        return ProbeOutcome(sums=sums, counts=counts, pip_tests=pip_tests, index_probes=probes)
-
-    def count_ranges(self, index, ranges) -> int:
-        return index.count_ranges([(int(lo), int(hi)) for lo, hi in ranges])
+def probe_rtree(tree, regions, xs, ys, values) -> ProbeOutcome:
+    """Exact filter-and-refine probe: R-tree MBR candidates + PIP."""
+    offsets, candidate_ids = tree.query_points(xs, ys)
+    return _refine_and_aggregate(regions, offsets, candidate_ids, xs, ys, values)
 
 
-class VectorizedEngine(ProbeEngine):
-    """Batch backend: one fused numpy pipeline instead of per-point loops."""
-
-    name = "vectorized"
-
-    def probe_act(self, trie, xs, ys, values, num_regions) -> ProbeOutcome:
-        offsets, polygon_ids = trie.lookup_points_batch(xs, ys)
-        point_idx = np.repeat(np.arange(xs.shape[0], dtype=np.int64), np.diff(offsets))
-        sums = np.zeros(num_regions, dtype=np.float64)
-        # Unbuffered scatter-add in point-major order: bitwise identical to the
-        # python loop because each polygon receives its additions in the same
-        # (ascending point) order.
-        np.add.at(sums, polygon_ids, values[point_idx])
-        counts = np.bincount(polygon_ids, minlength=num_regions).astype(np.int64)
-        return ProbeOutcome(
-            sums=sums, counts=counts, pip_tests=0, index_probes=int(xs.shape[0])
-        )
-
-    def probe_act_pairs(self, trie, xs, ys) -> tuple[np.ndarray, np.ndarray]:
-        return trie.lookup_points_batch(xs, ys)
-
-    def probe_rtree(self, tree, regions, xs, ys, values) -> ProbeOutcome:
-        offsets, candidate_ids = tree.query_points(xs, ys)
-        return self._refine_and_aggregate(regions, offsets, candidate_ids, xs, ys, values)
-
-    def probe_shape_index(self, shape_index, regions, xs, ys, values) -> ProbeOutcome:
-        offsets, candidate_ids = shape_index.query_points(xs, ys)
-        return self._refine_and_aggregate(regions, offsets, candidate_ids, xs, ys, values)
-
-    @staticmethod
-    def _refine_and_aggregate(regions, offsets, candidate_ids, xs, ys, values) -> ProbeOutcome:
-        """Fused PIP refinement + aggregation over CSR candidate lists.
-
-        The candidate pairs are regrouped by polygon so each polygon runs one
-        vectorised PIP pass over all of its candidate points; the surviving
-        pairs are then scattered into the aggregates in point-major order,
-        which keeps the float accumulation identical to the python loop.
-        """
-        n = int(offsets.shape[0]) - 1
-        num_pairs = int(candidate_ids.shape[0])
-        sums = np.zeros(len(regions), dtype=np.float64)
-        counts = np.zeros(len(regions), dtype=np.int64)
-        if num_pairs == 0:
-            return ProbeOutcome(sums=sums, counts=counts, pip_tests=0, index_probes=n)
-        point_idx = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
-
-        # Group pairs by polygon (stable: point order survives inside groups).
-        order = np.argsort(candidate_ids, kind="stable")
-        grouped_ids = candidate_ids[order]
-        grouped_pts = point_idx[order]
-        boundaries = np.flatnonzero(np.diff(grouped_ids)) + 1
-        starts = np.concatenate(([0], boundaries))
-        stops = np.concatenate((boundaries, [num_pairs]))
-
-        inside_grouped = np.empty(num_pairs, dtype=bool)
-        for start, stop in zip(starts, stops):
-            polygon_id = int(grouped_ids[start])
-            pts = grouped_pts[start:stop]
-            inside_grouped[start:stop] = regions[polygon_id].contains_points(xs[pts], ys[pts])
-
-        # Back to point-major order, keep survivors, fuse the aggregation.
-        inside = np.empty(num_pairs, dtype=bool)
-        inside[order] = inside_grouped
-        kept_ids = candidate_ids[inside]
-        kept_pts = point_idx[inside]
-        np.add.at(sums, kept_ids, values[kept_pts])
-        counts = np.bincount(kept_ids, minlength=len(regions)).astype(np.int64)
-        return ProbeOutcome(
-            sums=sums, counts=counts, pip_tests=num_pairs, index_probes=n
-        )
-
-    def count_ranges(self, index, ranges) -> int:
-        ranges = np.asarray(ranges, dtype=np.uint64).reshape(-1, 2)
-        return index.count_ranges_batch(ranges)
+def probe_shape_index(shape_index, regions, xs, ys, values) -> ProbeOutcome:
+    """Exact probe: coarse-covering candidates + PIP refinement."""
+    offsets, candidate_ids = shape_index.query_points(xs, ys)
+    return _refine_and_aggregate(regions, offsets, candidate_ids, xs, ys, values)
 
 
-_ENGINES: dict[str, ProbeEngine] = {
-    "python": PythonLoopEngine(),
-    "vectorized": VectorizedEngine(),
-}
+def _refine_and_aggregate(regions, offsets, candidate_ids, xs, ys, values) -> ProbeOutcome:
+    """Fused PIP refinement + aggregation over CSR candidate lists.
+
+    The candidate pairs are regrouped by polygon so each polygon runs one
+    vectorised PIP pass over all of its candidate points; the surviving
+    pairs are then scattered into the aggregates in point-major order,
+    which keeps the float accumulation identical to the per-point loop.
+    """
+    n = int(offsets.shape[0]) - 1
+    num_pairs = int(candidate_ids.shape[0])
+    sums = np.zeros(len(regions), dtype=np.float64)
+    counts = np.zeros(len(regions), dtype=np.int64)
+    if num_pairs == 0:
+        return ProbeOutcome(sums=sums, counts=counts, pip_tests=0, index_probes=n)
+    point_idx = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
+
+    # Group pairs by polygon (stable: point order survives inside groups).
+    order = np.argsort(candidate_ids, kind="stable")
+    grouped_ids = candidate_ids[order]
+    grouped_pts = point_idx[order]
+    boundaries = np.flatnonzero(np.diff(grouped_ids)) + 1
+    starts = np.concatenate(([0], boundaries))
+    stops = np.concatenate((boundaries, [num_pairs]))
+
+    inside_grouped = np.empty(num_pairs, dtype=bool)
+    for start, stop in zip(starts, stops):
+        polygon_id = int(grouped_ids[start])
+        pts = grouped_pts[start:stop]
+        inside_grouped[start:stop] = regions[polygon_id].contains_points(xs[pts], ys[pts])
+
+    # Back to point-major order, keep survivors, fuse the aggregation.
+    inside = np.empty(num_pairs, dtype=bool)
+    inside[order] = inside_grouped
+    kept_ids = candidate_ids[inside]
+    kept_pts = point_idx[inside]
+    np.add.at(sums, kept_ids, values[kept_pts])
+    counts = np.bincount(kept_ids, minlength=len(regions)).astype(np.int64)
+    return ProbeOutcome(
+        sums=sums, counts=counts, pip_tests=num_pairs, index_probes=n
+    )
 
 
-def get_engine(engine: "str | ProbeEngine | None") -> ProbeEngine:
-    """Resolve an engine name (or pass an engine through); ``None`` → default."""
-    if engine is None:
-        return _ENGINES[DEFAULT_ENGINE]
-    if isinstance(engine, ProbeEngine):
-        return engine
-    try:
-        return _ENGINES[engine]
-    except KeyError:
-        raise QueryError(
-            f"unknown probe engine {engine!r} (expected one of {', '.join(ENGINES)})"
-        ) from None
+def count_ranges(index, ranges) -> int:
+    """Total point count of a code index over query-cell key ranges."""
+    ranges = np.asarray(ranges, dtype=np.uint64).reshape(-1, 2)
+    return index.count_ranges_batch(ranges)

@@ -15,12 +15,10 @@ polygon:
   (not distance-bounded) hierarchical covering narrows the candidates further
   than MBRs, but exact refinement is still required.
 
-Each strategy runs its probe phase through a
-:class:`~repro.query.engine.ProbeEngine` backend: ``vectorized`` (default)
-probes all points at once through the batch index APIs and fuses the
-aggregation with ``np.add.at`` / ``np.bincount``; ``python`` keeps the
-original per-point loop as the correctness oracle.  Both backends produce
-bit-identical aggregates.
+Each strategy runs its probe phase through the batch kernels of
+:mod:`repro.query.engine`: all points are probed at once through the batch
+index APIs and the aggregation is fused with ``np.add.at`` /
+``np.bincount``.
 
 All three return a :class:`JoinResult` with per-polygon aggregates and
 operation counters, so benchmarks can report both time and the number of
@@ -30,7 +28,7 @@ argues should be driven to zero).
 .. note::
    These free functions are the execution kernels.  For application code,
    prefer the session-style facade in :mod:`repro.api`
-   (:class:`~repro.api.SpatialDataset`): it owns the frame, the engine
+   (:class:`~repro.api.SpatialDataset`): it owns the frame, the optimizer
    configuration and a polygon-index cache, plans the strategy with the
    optimizer, and dispatches to these same kernels — bit-identically.
 """
@@ -41,7 +39,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.approx.build_engine import BuildEngine, get_build_engine
 from repro.geometry.point import PointSet
 from repro.geometry.polygon import MultiPolygon, Polygon
 from repro.grid.uniform_grid import GridFrame
@@ -50,15 +47,12 @@ from repro.index.flat_act import FlatACT
 from repro.index.rstar import RStarTree
 from repro.index.shape_index import ShapeIndex
 from repro.obs import trace
-from repro.query.engine import ProbeEngine, get_engine
+from repro.query.engine import probe_act, probe_rtree, probe_shape_index
 from repro.query.spec import AggregationQuery
 
 __all__ = ["JoinResult", "act_approximate_join", "rtree_exact_join", "shape_index_exact_join"]
 
 Region = Polygon | MultiPolygon
-
-Engine = str | ProbeEngine | None
-Builder = str | BuildEngine | None
 
 
 @dataclass(slots=True)
@@ -72,8 +66,6 @@ class JoinResult:
     build_seconds: float = 0.0
     probe_seconds: float = 0.0
     index_memory_bytes: int = 0
-    engine: str = "python"
-    build_engine: str = ""
     extra: dict = field(default_factory=dict)
 
     @property
@@ -100,8 +92,6 @@ def act_approximate_join(
     epsilon: float = 4.0,
     query: AggregationQuery | None = None,
     trie: "AdaptiveCellTrie | FlatACT | None" = None,
-    engine: Engine = None,
-    build_engine: Builder = None,
 ) -> JoinResult:
     """Approximate index-nested-loop join using the Adaptive Cell Trie.
 
@@ -111,36 +101,28 @@ def act_approximate_join(
     matching polygon.  The aggregation is fused with the join so the join
     result is never materialised.
 
-    The ``build_engine`` backend decides how the index is constructed when no
-    prebuilt index is passed: the ``python`` backend fills the pointer trie
-    one cell at a time (the oracle), the ``vectorized`` default bulk-loads a
-    :class:`~repro.index.flat_act.FlatACT` from the approximations' cell
-    arrays.  ``trie`` accepts either index form; the probe engines treat them
+    Without a prebuilt index the polygons are bulk-loaded into a
+    :class:`~repro.index.flat_act.FlatACT` from their approximations' cell
+    arrays.  ``trie`` accepts either index form; the probe treats them
     identically.
     """
     query = query or AggregationQuery()
-    probe_engine = get_engine(engine)
-    builder = get_build_engine(build_engine)
     filtered, values = _prepare(points, query)
 
-    with trace.timed("join.build", kernel="act", build_engine=builder.name) as build_span:
-        built_here = trie is None
-        if built_here:
-            trie = builder.load_act(regions, frame, epsilon=epsilon)
+    with trace.timed("join.build", kernel="act") as build_span:
+        if trie is None:
+            trie = FlatACT.build(regions, frame, epsilon)
         index_memory = trie.memory_bytes()
-        if probe_engine.name == "vectorized":
-            # Flattening is part of the (one-off) build cost, and the flat
-            # arrays are the index the engine actually probes — charge them
-            # too (a bulk-loaded FlatACT already *is* its flat representation).
-            flat = trie.flattened()
-            if flat is not trie:
-                index_memory += flat.memory_bytes()
+        # Flattening is part of the (one-off) build cost, and the flat
+        # arrays are the index the kernel actually probes — charge them
+        # too (a bulk-loaded FlatACT already *is* its flat representation).
+        flat = trie.flattened()
+        if flat is not trie:
+            index_memory += flat.memory_bytes()
     build_seconds = build_span.seconds
 
-    with trace.timed(
-        "join.probe", kernel="act", engine=probe_engine.name, points=len(filtered)
-    ) as probe_span:
-        outcome = probe_engine.probe_act(trie, filtered.xs, filtered.ys, values, len(regions))
+    with trace.timed("join.probe", kernel="act", points=len(filtered)) as probe_span:
+        outcome = probe_act(trie, filtered.xs, filtered.ys, values, len(regions))
     probe_seconds = probe_span.seconds
 
     return JoinResult(
@@ -151,9 +133,6 @@ def act_approximate_join(
         build_seconds=build_seconds,
         probe_seconds=probe_seconds,
         index_memory_bytes=index_memory,
-        engine=probe_engine.name,
-        # A prebuilt index carries no build-engine provenance — don't claim one.
-        build_engine=builder.name if built_here else "",
         extra={"num_cells": trie.num_cells, "epsilon": epsilon},
     )
 
@@ -162,27 +141,21 @@ def rtree_exact_join(
     points: PointSet,
     regions: list[Region],
     query: AggregationQuery | None = None,
-    engine: Engine = None,
 ) -> JoinResult:
     """Exact filter-and-refine join: R*-tree over polygon MBRs + PIP refinement."""
     query = query or AggregationQuery()
-    probe_engine = get_engine(engine)
     filtered, values = _prepare(points, query)
 
     with trace.timed("join.build", kernel="rtree") as build_span:
         tree = RStarTree.bulk_load_boxes([region.bounds() for region in regions])
-        batch_bytes = 0
-        if probe_engine.name == "vectorized":
-            # Materialise the batch probe arrays inside the build window and
-            # charge them, mirroring the ACT flattening accounting.
-            boxes, items = tree.batch_arrays()
-            batch_bytes = int(boxes.nbytes + items.nbytes)
+        # Materialise the batch probe arrays inside the build window and
+        # charge them, mirroring the ACT flattening accounting.
+        boxes, items = tree.batch_arrays()
+        batch_bytes = int(boxes.nbytes + items.nbytes)
     build_seconds = build_span.seconds
 
-    with trace.timed(
-        "join.probe", kernel="rtree", engine=probe_engine.name, points=len(filtered)
-    ) as probe_span:
-        outcome = probe_engine.probe_rtree(tree, regions, filtered.xs, filtered.ys, values)
+    with trace.timed("join.probe", kernel="rtree", points=len(filtered)) as probe_span:
+        outcome = probe_rtree(tree, regions, filtered.xs, filtered.ys, values)
     probe_seconds = probe_span.seconds
 
     return JoinResult(
@@ -193,7 +166,6 @@ def rtree_exact_join(
         build_seconds=build_seconds,
         probe_seconds=probe_seconds,
         index_memory_bytes=tree.memory_bytes() + batch_bytes,
-        engine=probe_engine.name,
     )
 
 
@@ -204,8 +176,6 @@ def shape_index_exact_join(
     max_cells_per_shape: int = 32,
     query: AggregationQuery | None = None,
     index: "ShapeIndex | None" = None,
-    engine: Engine = None,
-    build_engine: Builder = None,
 ) -> JoinResult:
     """Exact join using an S2ShapeIndex-like coarse covering plus PIP refinement.
 
@@ -214,26 +184,15 @@ def shape_index_exact_join(
     cache), skipping the covering construction.
     """
     query = query or AggregationQuery()
-    probe_engine = get_engine(engine)
-    builder = get_build_engine(build_engine)
     filtered, values = _prepare(points, query)
 
-    with trace.timed("join.build", kernel="shape-index", build_engine=builder.name) as build_span:
-        built_here = index is None
-        if built_here:
-            shape_index = ShapeIndex(
-                regions, frame, max_cells_per_shape=max_cells_per_shape, build_engine=builder
-            )
-        else:
-            shape_index = index
+    with trace.timed("join.build", kernel="shape-index") as build_span:
+        if index is None:
+            index = ShapeIndex(regions, frame, max_cells_per_shape=max_cells_per_shape)
     build_seconds = build_span.seconds
 
-    with trace.timed(
-        "join.probe", kernel="shape-index", engine=probe_engine.name, points=len(filtered)
-    ) as probe_span:
-        outcome = probe_engine.probe_shape_index(
-            shape_index, regions, filtered.xs, filtered.ys, values
-        )
+    with trace.timed("join.probe", kernel="shape-index", points=len(filtered)) as probe_span:
+        outcome = probe_shape_index(index, regions, filtered.xs, filtered.ys, values)
     probe_seconds = probe_span.seconds
 
     return JoinResult(
@@ -243,12 +202,8 @@ def shape_index_exact_join(
         index_probes=outcome.index_probes,
         build_seconds=build_seconds,
         probe_seconds=probe_seconds,
-        index_memory_bytes=shape_index.memory_bytes(),
-        engine=probe_engine.name,
-        # A prebuilt covering carries no build-engine provenance (same
-        # convention as the ACT join's prebuilt ``trie``).
-        build_engine=builder.name if built_here else "",
-        extra={"covering_cells": shape_index.num_cells},
+        index_memory_bytes=index.memory_bytes(),
+        extra={"covering_cells": index.num_cells},
     )
 
 
@@ -275,5 +230,4 @@ def exact_join_reference(
         index_probes=0,
         build_seconds=0.0,
         probe_seconds=probe_seconds,
-        engine="reference",
     )

@@ -9,8 +9,8 @@ single monolithic filter-and-refine operator.
 This module provides a small explicit plan representation.  A plan is a tree
 of :class:`PlanNode` objects; :func:`run_plan` interprets it against a
 :class:`PlanContext` holding the inputs and dispatches each plan shape to the
-corresponding execution kernel (on the vectorized engines by default).  The
-recognised plans, each with a constructor:
+corresponding execution kernel.  The recognised plans, each with a
+constructor:
 
 * :func:`raster_aggregation_plan` — the approximate canvas plan
   (rasterize points, rasterize polygons, mask, reduce → Bounded Raster Join),
@@ -105,10 +105,6 @@ class PlanContext:
     #: Grid hierarchy shared with approximations/indexes (ACT, ShapeIndex,
     #: raster counts).  Derived from the extent when unset.
     frame: Any = None
-    #: Probe engine (name or instance) for the point-probe kernels.
-    engine: Any = None
-    #: Build engine (name or instance) for approximation/index construction.
-    build_engine: Any = None
     #: Prebuilt ACT index (AdaptiveCellTrie or FlatACT) for act plans.
     trie: Any = None
     #: Prebuilt ShapeIndex for shape-index plans.
@@ -214,8 +210,8 @@ def run_plan(plan: PlanNode, context: PlanContext):
     """Interpret a plan tree and return the kernel's full result object.
 
     Each recognised root operator dispatches to the corresponding execution
-    kernel with the context's engine configuration and prebuilt resources, so
-    the result — :class:`~repro.query.join_mm.JoinResult`,
+    kernel with the context's prebuilt resources, so the result —
+    :class:`~repro.query.join_mm.JoinResult`,
     :class:`~repro.query.join_brj.BRJResult`, per-region count arrays,
     :class:`~repro.query.range_estimation.ResultRange` lists — is exactly
     what the direct kernel call would produce.
@@ -266,15 +262,11 @@ def _run_plan_root(plan: PlanNode, context: PlanContext):
             epsilon=float(plan.params["epsilon"]),
             query=context.query,
             trie=context.trie,
-            engine=context.engine,
-            build_engine=context.build_engine,
         )
     if root == "rtree_aggregate":
         from repro.query.join_mm import rtree_exact_join
 
-        return rtree_exact_join(
-            context.points, context.regions, query=context.query, engine=context.engine
-        )
+        return rtree_exact_join(context.points, context.regions, query=context.query)
     if root == "shape_aggregate":
         from repro.query.join_mm import shape_index_exact_join
 
@@ -285,8 +277,6 @@ def _run_plan_root(plan: PlanNode, context: PlanContext):
             max_cells_per_shape=int(plan.params.get("max_cells_per_shape", 32)),
             query=context.query,
             index=context.shape_index,
-            engine=context.engine,
-            build_engine=context.build_engine,
         )
     if root == "range_count":
         from repro.query.containment import LinearizedPoints, raster_count
@@ -310,8 +300,6 @@ def _run_plan_root(plan: PlanNode, context: PlanContext):
                     index,
                     cells_per_polygon=int(ranges_node.params["cells_per_polygon"]),
                     conservative=bool(ranges_node.params.get("conservative", True)),
-                    engine=context.engine,
-                    build_engine=context.build_engine,
                 )
                 for region in context.regions
             ],
@@ -358,8 +346,6 @@ def _run_scatter_gather(plan: PlanNode, context: PlanContext):
                 epsilon=epsilon,
                 query=context.query,
                 trie=context.trie,
-                engine=context.engine,
-                build_engine=context.build_engine,
                 executor=context.executor,
             )
         from repro.shard.gather import sharded_act_join
@@ -371,8 +357,6 @@ def _run_scatter_gather(plan: PlanNode, context: PlanContext):
             epsilon=epsilon,
             query=context.query,
             trie=context.trie,
-            engine=context.engine,
-            build_engine=context.build_engine,
             executor=context.executor,
         )
 
@@ -387,8 +371,6 @@ def _run_scatter_gather(plan: PlanNode, context: PlanContext):
                         region,
                         cells,
                         conservative=conservative,
-                        engine=context.engine,
-                        build_engine=context.build_engine,
                     )
                     for region in context.regions
                 ],
@@ -407,10 +389,7 @@ def _run_scatter_gather(plan: PlanNode, context: PlanContext):
             [
                 sharded_count_ranges(
                     indexes,
-                    polygon_query_ranges(
-                        region, empty, cells, conservative, build_engine=context.build_engine
-                    ),
-                    engine=context.engine,
+                    polygon_query_ranges(region, empty, cells, conservative),
                 )
                 for region in context.regions
             ],

@@ -3,8 +3,8 @@
 The serving layer's throughput comes from two coalescing shapes:
 
 * :func:`fused_act_join` — N concurrent aggregation-join requests over the
-  *same* point source, suite, epsilon, engine and point filter share one
-  probe pass.  The probe is the expensive half (it walks every live point
+  *same* point source, suite, epsilon and point filter share one probe
+  pass.  The probe is the expensive half (it walks every live point
   through the ACT index); the per-request half is one ``np.add.at`` scatter
   over the shared match pairs with that request's value column.  Because
   the shared pairs are merged into ascending global-id order exactly as
@@ -13,7 +13,7 @@ The serving layer's throughput comes from two coalescing shapes:
   the same snapshot.
 * :func:`fused_lookup` — N point-lookup requests concatenate their probe
   coordinates into one block, probe once, and slice the CSR result back
-  per request.  ``probe_act_pairs`` is a per-point function, so each slice
+  per request.  The batch probe is a per-point function, so each slice
   equals the solo probe of that request's block, bit for bit.
 
 Both probe through a :mod:`repro.shard.exec` executor, so a server with
@@ -29,7 +29,6 @@ import numpy as np
 from repro.errors import QueryError
 from repro.geometry.point import PointSet
 from repro.obs import trace
-from repro.query.engine import get_engine
 from repro.serve.request import JoinAnswer, LookupAnswer
 from repro.shard.exec import get_executor
 
@@ -41,7 +40,6 @@ def fused_act_join(
     num_regions: int,
     trie,
     specs,
-    engine=None,
     executor=None,
 ) -> "tuple[list[JoinAnswer], int, float]":
     """One shared probe pass answering every join spec in the batch.
@@ -56,7 +54,6 @@ def fused_act_join(
     Returns ``(answers, probed_points, probe_seconds)`` with one
     :class:`JoinAnswer` per spec, in spec order.
     """
-    probe_engine = get_engine(engine)
     executor = get_executor(executor)
     base = specs[0]
 
@@ -72,7 +69,7 @@ def fused_act_join(
 
     coords = [(points.xs, points.ys) for _, points in filtered]
     with trace.span("fused.probe", segments=len(coords), specs=len(specs)):
-        results, seconds = executor.probe_act(trie, coords, engine=probe_engine)
+        results, seconds = executor.probe_act(trie, coords)
 
     with trace.span("fused.scatter", specs=len(specs)):
         # Shared pair stream: segment order and point order within a segment
@@ -103,7 +100,6 @@ def fused_act_join(
                     JoinAnswer(
                         aggregates=spec.finalize(sums.copy(), counts.copy()),
                         counts=counts.copy(),
-                        engine=probe_engine.name,
                     )
                 )
             return answers, probes, float(sum(seconds))
@@ -122,7 +118,6 @@ def fused_act_join(
                 JoinAnswer(
                     aggregates=spec.finalize(sums, counts.copy()),
                     counts=counts.copy(),
-                    engine=probe_engine.name,
                 )
             )
     return answers, probes, float(sum(seconds))
@@ -131,19 +126,17 @@ def fused_act_join(
 def fused_lookup(
     trie,
     blocks,
-    engine=None,
     executor=None,
 ) -> "tuple[list[LookupAnswer], int, float]":
     """One concatenated probe answering every point-lookup block.
 
     ``blocks`` is one ``(xs, ys)`` pair per request.  The blocks are
-    concatenated, probed in one ``probe_act_pairs`` call, and the CSR
+    concatenated, probed in one batch call, and the CSR
     result is sliced back per request — per-point independence makes each
     slice bit-identical to probing that block alone.
 
     Returns ``(answers, probed_points, probe_seconds)``.
     """
-    probe_engine = get_engine(engine)
     executor = get_executor(executor)
     lengths = [int(np.asarray(xs).shape[0]) for xs, _ in blocks]
     total = int(sum(lengths))
@@ -160,9 +153,7 @@ def fused_lookup(
     all_xs = np.concatenate([np.asarray(xs, dtype=np.float64) for xs, _ in blocks])
     all_ys = np.concatenate([np.asarray(ys, dtype=np.float64) for _, ys in blocks])
     with trace.span("fused.lookup", blocks=len(blocks), points=total):
-        results, seconds = executor.probe_act(
-            trie, [(all_xs, all_ys)], engine=probe_engine
-        )
+        results, seconds = executor.probe_act(trie, [(all_xs, all_ys)])
     offsets, pids = results[0]
 
     answers: list[LookupAnswer] = []

@@ -98,15 +98,12 @@ def run_serving_load(
     epsilon: float = 4.0,
     ingest_batch: int = 0,
     ingest_seed: int = 20210107,
-    **overrides,
 ) -> LoadReport:
     """Drive a server with closed-loop join clients; returns a :class:`LoadReport`.
 
     ``max_batch=1`` is the serial-dispatch baseline (no coalescing);
     ``ingest_batch > 0`` adds a concurrent writer streaming batches of that
-    size into the backing store (requires a store-backed dataset).  Extra
-    keyword arguments (``engine=``, ``build_engine=``) override the
-    dataset's engine config per request, exactly like ``dataset.join``.
+    size into the backing store (requires a store-backed dataset).
     """
     if clients < 1:
         raise QueryError("need at least one client")
@@ -132,7 +129,7 @@ def run_serving_load(
                 if begin >= deadline and mine:
                     return
                 try:
-                    server.submit_join(suite, epsilon=epsilon, **overrides).result()
+                    server.submit_join(suite, epsilon=epsilon).result()
                     mine.append(time.perf_counter() - begin)
                 except Exception:
                     errors[slot] += 1

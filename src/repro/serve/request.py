@@ -90,7 +90,6 @@ class JoinAnswer:
 
     aggregates: np.ndarray
     counts: np.ndarray
-    engine: str = ""
 
 
 @dataclass(slots=True)

@@ -10,7 +10,7 @@ distance-bounded queries:
    ``concurrent.futures.Future`` back (wrap it with
    ``asyncio.wrap_future`` to await from an event loop).
 2. **Coalesce** — the dispatcher groups *compatible* requests (same kind,
-   suite, epsilon, engine config and point filter) within a bounded window:
+   suite, epsilon and point filter) within a bounded window:
    at most ``max_batch`` requests, closed early after ``max_wait_ms``.
 3. **Kernel** — the batch executes as **one** fused kernel call
    (:mod:`repro.serve.fused`): join batches share a single probe pass over
@@ -36,13 +36,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.approx.build_engine import get_build_engine
 from repro.errors import QueryError
 from repro.geometry.point import PointSet
 from repro.obs import trace
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry
-from repro.query.engine import get_engine
 from repro.query.spec import AggregationQuery
 from repro.serve.fused import fused_act_join, fused_lookup
 from repro.serve.request import (
@@ -328,11 +326,10 @@ class QueryServer:
         *,
         epsilon: "float | None" = None,
         spec: AggregationQuery | None = None,
-        **overrides,
     ) -> Future:
         """Queue an ACT aggregation join; returns a future of :class:`ServeResponse`.
 
-        Joins over the same suite, epsilon, engine config and point filter
+        Joins over the same suite, epsilon and point filter
         coalesce into one shared probe pass — aggregate function and
         attribute may differ freely within a batch.
         """
@@ -342,19 +339,14 @@ class QueryServer:
         if spec.epsilon is None:
             raise QueryError("served joins run the ACT strategy and need an epsilon")
         target = self.dataset._resolve_suite(spec, suite)
-        config = self.dataset.config.merged(**overrides)
         key = (
             "join",
             target.name,
             target.fingerprint,
-            get_engine(config.engine).name,
-            get_build_engine(config.build_engine).name,
             float(spec.epsilon),
             id(spec.point_filter) if spec.point_filter is not None else None,
         )
-        return self._enqueue(
-            "join", key, target.name, spec, {"config": config, "epsilon": float(spec.epsilon)}
-        )
+        return self._enqueue("join", key, target.name, spec, {"epsilon": float(spec.epsilon)})
 
     def submit_lookup(
         self,
@@ -363,7 +355,6 @@ class QueryServer:
         suite: "str | None" = None,
         *,
         epsilon: float = 4.0,
-        **overrides,
     ) -> Future:
         """Queue a point lookup: which suite regions match each ``(x, y)``.
 
@@ -376,21 +367,13 @@ class QueryServer:
         if xs.shape != ys.shape or xs.ndim != 1:
             raise QueryError("lookup coordinates must be two equal-length 1-D arrays")
         target = self.dataset._resolve_suite(None, suite)
-        config = self.dataset.config.merged(**overrides)
-        key = (
-            "point-lookup",
-            target.name,
-            target.fingerprint,
-            get_engine(config.engine).name,
-            get_build_engine(config.build_engine).name,
-            float(epsilon),
-        )
+        key = ("point-lookup", target.name, target.fingerprint, float(epsilon))
         return self._enqueue(
             "point-lookup",
             key,
             target.name,
             None,
-            {"config": config, "epsilon": float(epsilon), "xs": xs, "ys": ys},
+            {"epsilon": float(epsilon), "xs": xs, "ys": ys},
             payload_points=int(xs.shape[0]),
         )
 
@@ -400,7 +383,6 @@ class QueryServer:
         *,
         cells_per_polygon: int,
         conservative: bool = True,
-        **overrides,
     ) -> Future:
         """Queue a per-region raster count over the code index.
 
@@ -408,13 +390,10 @@ class QueryServer:
         whose counts every request in the batch shares.
         """
         target = self.dataset._resolve_suite(None, suite)
-        config = self.dataset.config.merged(**overrides)
         key = (
             "raster-count",
             target.name,
             target.fingerprint,
-            get_engine(config.engine).name,
-            get_build_engine(config.build_engine).name,
             int(cells_per_polygon),
             bool(conservative),
         )
@@ -423,11 +402,7 @@ class QueryServer:
             key,
             target.name,
             None,
-            {
-                "config": config,
-                "cells_per_polygon": int(cells_per_polygon),
-                "conservative": bool(conservative),
-            },
+            {"cells_per_polygon": int(cells_per_polygon), "conservative": bool(conservative)},
         )
 
     def submit_estimate(
@@ -435,18 +410,12 @@ class QueryServer:
         suite: "str | None" = None,
         *,
         epsilon: float,
-        **overrides,
     ) -> Future:
         """Queue a result-range estimation (certain COUNT intervals per region)."""
         target = self.dataset._resolve_suite(None, suite)
-        config = self.dataset.config.merged(**overrides)
         key = ("range-estimate", target.name, target.fingerprint, float(epsilon))
         return self._enqueue(
-            "range-estimate",
-            key,
-            target.name,
-            None,
-            {"config": config, "epsilon": float(epsilon)},
+            "range-estimate", key, target.name, None, {"epsilon": float(epsilon)}
         )
 
     def submit_suite_update(self, suite: str, regions) -> Future:
@@ -662,19 +631,16 @@ class QueryServer:
 
     def _act_index(self, request, snapshot) -> "tuple[object, object]":
         suite = self.dataset.suite(request.suite)
-        config = request.params["config"]
         trie = self.dataset.registry.act_index(
             list(suite.regions),
             self.dataset.frame,
             epsilon=request.params["epsilon"],
-            build_engine=config.build_engine,
             fingerprint=suite.fingerprint,
         )
         return suite, trie
 
     def _serve_join(self, batch, snapshot):
         suite, trie = self._act_index(batch[0], snapshot)
-        config = batch[0].params["config"]
         with trace.timed(
             "batch.kernel", kind="join", requests=len(batch)
         ) as kernel_span:
@@ -683,7 +649,6 @@ class QueryServer:
                 len(suite.regions),
                 trie,
                 [request.spec for request in batch],
-                engine=config.engine,
                 executor=self._executor,
             )
         scatter = max(kernel_span.seconds - probe_seconds, 0.0)
@@ -691,14 +656,12 @@ class QueryServer:
 
     def _serve_point_lookup(self, batch, snapshot):
         _, trie = self._act_index(batch[0], snapshot)
-        config = batch[0].params["config"]
         with trace.timed(
             "batch.kernel", kind="point-lookup", requests=len(batch)
         ) as kernel_span:
             answers, probes, probe_seconds = fused_lookup(
                 trie,
                 [(request.params["xs"], request.params["ys"]) for request in batch],
-                engine=config.engine,
                 executor=self._executor,
             )
         scatter = max(kernel_span.seconds - probe_seconds, 0.0)
@@ -707,7 +670,6 @@ class QueryServer:
     def _serve_raster_count(self, batch, snapshot):
         head = batch[0]
         suite = self.dataset.suite(head.suite)
-        config = head.params["config"]
         cells = head.params["cells_per_polygon"]
         conservative = head.params["conservative"]
         with trace.timed(
@@ -715,22 +677,12 @@ class QueryServer:
         ) as kernel_span:
             if snapshot is None:
                 counts = self.dataset.raster_count(
-                    head.suite,
-                    cells_per_polygon=cells,
-                    conservative=conservative,
-                    engine=config.engine,
-                    build_engine=config.build_engine,
+                    head.suite, cells_per_polygon=cells, conservative=conservative
                 )
             else:
                 counts = np.array(
                     [
-                        snapshot.raster_count(
-                            region,
-                            cells,
-                            conservative=conservative,
-                            engine=config.engine,
-                            build_engine=config.build_engine,
-                        )
+                        snapshot.raster_count(region, cells, conservative=conservative)
                         for region in suite.regions
                     ],
                     dtype=np.int64,

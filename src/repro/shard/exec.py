@@ -39,7 +39,6 @@ import numpy as np
 
 from repro.errors import QueryError
 from repro.obs import trace
-from repro.query.engine import get_engine
 from repro.shard.shm import ShmBlock, attach_arrays, pack_arrays
 
 __all__ = ["SerialExecutor", "PoolExecutor", "get_executor", "shutdown_executors"]
@@ -53,13 +52,12 @@ class SerialExecutor:
     name = "serial"
     workers = 0
 
-    def probe_act(self, trie, shard_coords, engine=None):
+    def probe_act(self, trie, shard_coords):
         """Probe each shard's ``(xs, ys)`` block against one ACT index.
 
         Returns ``(results, seconds)``: per shard a CSR ``(offsets,
         polygon_ids)`` pair and the probe wall seconds.
         """
-        probe_engine = get_engine(engine)
         results = []
         seconds = []
         for i, (xs, ys) in enumerate(shard_coords):
@@ -67,7 +65,7 @@ class SerialExecutor:
                 if xs.shape[0] == 0:
                     results.append(_EMPTY_CSR)
                 else:
-                    results.append(probe_engine.probe_act_pairs(trie, xs, ys))
+                    results.append(trie.lookup_points_batch(xs, ys))
             seconds.append(shard_span.seconds)
         return results, seconds
 
@@ -120,8 +118,7 @@ def _worker_attached_trie(trie_manifests, untrack):
     return trie
 
 
-def _worker_probe_act(trie_manifests, coords_manifest, engine_name, untrack,
-                      collect_spans=False):
+def _worker_probe_act(trie_manifests, coords_manifest, untrack, collect_spans=False):
     """Pool task: attach index + coordinates, probe, return CSR copies.
 
     The returned arrays are materialised copies (they leave shared memory
@@ -135,12 +132,8 @@ def _worker_probe_act(trie_manifests, coords_manifest, engine_name, untrack,
     trie = _worker_attached_trie(trie_manifests, untrack)
     coords = attach_arrays(coords_manifest, untrack=untrack)
     try:
-        with trace.timed(
-            "worker.probe_act", engine=engine_name, points=int(coords["xs"].shape[0])
-        ) as probe_span:
-            offsets, pids = get_engine(engine_name).probe_act_pairs(
-                trie, coords["xs"], coords["ys"]
-            )
+        with trace.timed("worker.probe_act", points=int(coords["xs"].shape[0])) as probe_span:
+            offsets, pids = trie.lookup_points_batch(coords["xs"], coords["ys"])
         payload = trace.span_to_dict(probe_span) if collect_spans else None
         return (
             np.array(offsets, dtype=np.int64),
@@ -226,9 +219,8 @@ class PoolExecutor:
             manifests.append(block.manifest)
         return tuple(manifests)
 
-    def probe_act(self, trie, shard_coords, engine=None):
+    def probe_act(self, trie, shard_coords):
         """Parallel twin of :meth:`SerialExecutor.probe_act` (same contract)."""
-        engine_name = get_engine(engine).name
         tracing = trace.enabled()
         trie_manifests = self._publish(trie)
         futures = {}
@@ -246,7 +238,6 @@ class PoolExecutor:
                     _worker_probe_act,
                     trie_manifests,
                     block.manifest,
-                    engine_name,
                     self.start_method != "fork",
                     tracing,
                 )

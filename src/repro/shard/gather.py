@@ -28,7 +28,7 @@ import numpy as np
 from repro.errors import QueryError
 from repro.geometry.point import PointSet
 from repro.obs import trace
-from repro.query.engine import get_engine
+from repro.query.engine import count_ranges
 from repro.query.join_mm import JoinResult
 from repro.query.range_estimation import coverage_counts, range_from_counts
 from repro.query.spec import AggregationQuery
@@ -77,8 +77,6 @@ def sharded_act_join(
     epsilon: float = 4.0,
     query: AggregationQuery | None = None,
     trie=None,
-    engine=None,
-    build_engine=None,
     executor=None,
     registry=None,
 ) -> JoinResult:
@@ -91,33 +89,26 @@ def sharded_act_join(
     ``executor``; pairs merge on global ids as described in the module
     docstring.
     """
-    from repro.approx.build_engine import get_build_engine
+    from repro.index.flat_act import FlatACT
 
     query = query or AggregationQuery()
-    probe_engine = get_engine(engine)
-    builder = get_build_engine(build_engine)
     executor = get_executor(executor)
 
     with trace.timed(
         "gather.build", shards=len(shard_segments), workers=executor.workers
     ) as build_span:
-        built_here = trie is None
         registry_hit = False
-        if built_here:
+        if trie is None:
             if registry is not None:
                 misses_before = registry.stats.misses
-                trie = registry.act_index(
-                    regions, frame, epsilon=epsilon, build_engine=builder
-                )
-                built_here = registry.stats.misses > misses_before
-                registry_hit = not built_here
+                trie = registry.act_index(regions, frame, epsilon=epsilon)
+                registry_hit = registry.stats.misses == misses_before
             else:
-                trie = builder.load_act(regions, frame, epsilon=epsilon)
+                trie = FlatACT.build(regions, frame, epsilon)
         index_memory = trie.memory_bytes()
-        if probe_engine.name == "vectorized":
-            flat = trie.flattened()
-            if flat is not trie:
-                index_memory += flat.memory_bytes()
+        flat = trie.flattened()
+        if flat is not trie:
+            index_memory += flat.memory_bytes()
     build_seconds = build_span.seconds
 
     with trace.timed(
@@ -133,9 +124,7 @@ def sharded_act_join(
         flat_coords = [
             (points.xs, points.ys) for segments in filtered for _, points, _ in segments
         ]
-        flat_results, flat_seconds = executor.probe_act(
-            trie, flat_coords, engine=probe_engine
-        )
+        flat_results, flat_seconds = executor.probe_act(trie, flat_coords)
 
         num_regions = len(regions)
         id_chunks: list[np.ndarray] = []
@@ -185,8 +174,6 @@ def sharded_act_join(
         build_seconds=build_seconds,
         probe_seconds=probe_seconds,
         index_memory_bytes=index_memory,
-        engine=probe_engine.name,
-        build_engine=builder.name if built_here else "",
         extra={
             "num_cells": trie.num_cells,
             "epsilon": epsilon,
@@ -198,14 +185,13 @@ def sharded_act_join(
     )
 
 
-def sharded_count_ranges(shard_indexes, ranges, engine=None) -> int:
+def sharded_count_ranges(shard_indexes, ranges) -> int:
     """Sum one code index's range counts per shard (integers: exact merge)."""
-    probe_engine = get_engine(engine)
     total = 0
     for index in shard_indexes:
         if index is None:  # a shard that holds no points
             continue
-        total += probe_engine.count_ranges(index, ranges)
+        total += count_ranges(index, ranges)
     return int(total)
 
 

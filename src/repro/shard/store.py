@@ -81,8 +81,6 @@ class ShardedSnapshot:
         epsilon: float = 4.0,
         query: AggregationQuery | None = None,
         trie=None,
-        engine=None,
-        build_engine=None,
         executor=None,
     ):
         """ACT aggregation join, bit-identical to the unsharded snapshot path.
@@ -99,8 +97,6 @@ class ShardedSnapshot:
             epsilon=epsilon,
             query=query,
             trie=trie,
-            engine=engine,
-            build_engine=build_engine,
             executor=executor,
             registry=self._registry,
         )
@@ -110,17 +106,15 @@ class ShardedSnapshot:
         )
         return result
 
-    def count_in_ranges(self, ranges, engine=None) -> int:
+    def count_in_ranges(self, ranges) -> int:
         """Sum of the members' exact tombstone-corrected range counts."""
-        return sum(snap.count_in_ranges(ranges, engine=engine) for snap in self.shards)
+        return sum(snap.count_in_ranges(ranges) for snap in self.shards)
 
     def raster_count(
         self,
         region,
         cells_per_polygon: int,
         conservative: bool = True,
-        engine=None,
-        build_engine=None,
     ) -> int:
         """Approximate count in ``region``; one approximation, K fan-outs.
 
@@ -136,10 +130,8 @@ class ShardedSnapshot:
             max_cells=cells_per_polygon,
             conservative=conservative,
             max_level=self.level,
-            engine=build_engine,
         )
-        ranges = approx.query_ranges(self.level)
-        return self.count_in_ranges(ranges, engine=engine)
+        return self.count_in_ranges(approx.query_ranges(self.level))
 
     def estimate_count_range(self, region, epsilon: float):
         """Certain COUNT interval; per-shard coverage counts sum exactly."""
@@ -411,8 +403,8 @@ class ShardedStore:
     def estimate_count_range(self, region, epsilon):
         return self.snapshot().estimate_count_range(region, epsilon)
 
-    def count_in_ranges(self, ranges, engine=None) -> int:
-        return self.snapshot().count_in_ranges(ranges, engine=engine)
+    def count_in_ranges(self, ranges) -> int:
+        return self.snapshot().count_in_ranges(ranges)
 
     def live_points(self) -> PointSet:
         return self.snapshot().live_points()

@@ -1,12 +1,12 @@
-"""Updatable spatial store: LSM-style ingest over the batch query engines.
+"""Updatable spatial store: LSM-style ingest over the batch query kernels.
 
 The write path layers a mutable :class:`~repro.store.memtable.MemTable` over
 immutable sorted :class:`~repro.store.run.Run` segments with tombstone
 deletes and size-tiered compaction; the read path
 (:class:`~repro.store.snapshot.StoreSnapshot`) fans every query out across
-the segments through the existing probe engines and merges with the fused
-aggregation — bit-identical, on both engines, to a from-scratch rebuild over
-the live point set.
+the segments through the batch probe kernels and merges with the fused
+aggregation — bit-identical to a from-scratch rebuild over the live point
+set.
 """
 
 from repro.store.memtable import MemTable

@@ -8,15 +8,15 @@ small memtable tail is copied) and remain valid while the store keeps
 ingesting, flushing and compacting underneath.
 
 Every query fans out across the segments (memtable + runs) through the
-:class:`~repro.query.engine.ProbeEngine` backends and merges the partial
-results with the fused ``np.add.at`` / ``np.bincount`` aggregation:
+batch probe kernels and merges the partial results with the fused
+``np.add.at`` / ``np.bincount`` aggregation:
 
 * :meth:`count_in_ranges` / :meth:`raster_count` — each run answers through
   its sorted code array (minus an exact tombstone correction), the memtable
   through a code array encoded on the fly; integer partial counts sum
   exactly.
 * :meth:`act_join` — each segment's points probe the ACT index through
-  :meth:`ProbeEngine.probe_act_pairs`; the match pairs are tagged with
+  its ``lookup_points_batch``; the match pairs are tagged with
   global insertion ids, merged into ascending-id order and aggregated with
   one unbuffered scatter-add.  Because the pair sequence equals the one a
   single probe over the live point set (in insertion order) produces, the
@@ -34,7 +34,7 @@ from repro.errors import QueryError
 from repro.geometry.point import PointSet
 from repro.index.sorted_array import SortedCodeArray
 from repro.obs import trace
-from repro.query.engine import get_engine
+from repro.query.engine import count_ranges
 from repro.query.join_mm import JoinResult
 from repro.query.range_estimation import coverage_counts, range_from_counts
 from repro.query.spec import AggregationQuery
@@ -192,25 +192,24 @@ class StoreSnapshot:
     # ------------------------------------------------------------------ #
     # query paths
     # ------------------------------------------------------------------ #
-    def count_in_ranges(self, ranges, engine=None) -> int:
+    def count_in_ranges(self, ranges) -> int:
         """Total live points whose cell code falls in the ``[lo, hi)`` ranges.
 
-        Each run is probed through the chosen engine's range-count path over
-        its immutable sorted code array; tombstoned entries are subtracted
+        Each run is probed through the batch range-count kernel over its
+        immutable sorted code array; tombstoned entries are subtracted
         with an exact positional correction (two binary searches over the
         run's dead positions per range).  The memtable contributes through a
         code array encoded at query time.  All partials are integers, so the
         fan-out sums to exactly the count a single consolidated code array
         would report.
         """
-        probe_engine = get_engine(engine)
         total = 0
         for pos, run in enumerate(self.runs):
-            total += probe_engine.count_ranges(run.index, ranges)
+            total += count_ranges(run.index, ranges)
             total -= self._dead_in_ranges(pos, ranges)
         mem_index = self._memtable_index()
         if mem_index is not None:
-            total += probe_engine.count_ranges(mem_index, ranges)
+            total += count_ranges(mem_index, ranges)
         return int(total)
 
     def _dead_in_ranges(self, run_pos: int, ranges) -> int:
@@ -231,8 +230,6 @@ class StoreSnapshot:
         region,
         cells_per_polygon: int,
         conservative: bool = True,
-        engine=None,
-        build_engine=None,
     ) -> int:
         """Approximate count of live points in ``region`` via query cells.
 
@@ -248,9 +245,8 @@ class StoreSnapshot:
             max_cells=cells_per_polygon,
             conservative=conservative,
             max_level=self.level,
-            engine=build_engine,
         )
-        return self.count_in_ranges(approx.query_ranges(self.level), engine=engine)
+        return self.count_in_ranges(approx.query_ranges(self.level))
 
     def act_join(
         self,
@@ -258,17 +254,15 @@ class StoreSnapshot:
         epsilon: float = 4.0,
         query: AggregationQuery | None = None,
         trie=None,
-        engine=None,
-        build_engine=None,
     ) -> JoinResult:
         """Approximate ACT aggregation join over the snapshot's live points.
 
-        The probe phase fans out: every segment probes the polygon index
-        through the engine's pair path, tagging matches with global insertion
-        ids.  The pairs are then merged into ascending-id order and
-        aggregated with one unbuffered ``np.add.at`` — the same additions, in
-        the same order, as one probe pass over :meth:`live_points`, so the
-        aggregates match a from-scratch rebuild bit for bit on both engines.
+        The probe phase fans out: every segment probes the polygon index in
+        one batch, tagging matches with global insertion ids.  The pairs are
+        then merged into ascending-id order and aggregated with one
+        unbuffered ``np.add.at`` — the same additions, in the same order, as
+        one probe pass over :meth:`live_points`, so the aggregates match a
+        from-scratch rebuild bit for bit.
 
         When no prebuilt ``trie`` is passed, the polygon index comes from
         the snapshot's :class:`~repro.api.registry.IndexRegistry` (shared
@@ -276,30 +270,23 @@ class StoreSnapshot:
         unchanged store, and the store invalidates the cache on flush /
         compaction.
         """
-        from repro.approx.build_engine import get_build_engine
+        from repro.index.flat_act import FlatACT
 
         query = query or AggregationQuery()
-        probe_engine = get_engine(engine)
-        builder = get_build_engine(build_engine)
 
         with trace.timed("snapshot.build", runs=len(self.runs)) as build_span:
-            built_here = trie is None
             registry_hit = False
-            if built_here:
+            if trie is None:
                 if self._registry is not None:
                     misses_before = self._registry.stats.misses
-                    trie = self._registry.act_index(
-                        regions, self.frame, epsilon=epsilon, build_engine=builder
-                    )
-                    built_here = self._registry.stats.misses > misses_before
-                    registry_hit = not built_here
+                    trie = self._registry.act_index(regions, self.frame, epsilon=epsilon)
+                    registry_hit = self._registry.stats.misses == misses_before
                 else:
-                    trie = builder.load_act(regions, self.frame, epsilon=epsilon)
+                    trie = FlatACT.build(regions, self.frame, epsilon)
             index_memory = trie.memory_bytes()
-            if probe_engine.name == "vectorized":
-                flat = trie.flattened()
-                if flat is not trie:
-                    index_memory += flat.memory_bytes()
+            flat = trie.flattened()
+            if flat is not trie:
+                index_memory += flat.memory_bytes()
         build_seconds = build_span.seconds
 
         with trace.timed("snapshot.probe", runs=len(self.runs)) as probe_phase:
@@ -320,9 +307,7 @@ class StoreSnapshot:
                         points = points.select(mask)
                         ids = ids[mask]
                     vals = query.values(points)
-                    offsets, pids = probe_engine.probe_act_pairs(
-                        trie, points.xs, points.ys
-                    )
+                    offsets, pids = trie.lookup_points_batch(points.xs, points.ys)
                     probes += len(points)
                     if pids.shape[0] == 0:
                         continue
@@ -361,8 +346,6 @@ class StoreSnapshot:
             build_seconds=build_seconds,
             probe_seconds=probe_seconds,
             index_memory_bytes=index_memory,
-            engine=probe_engine.name,
-            build_engine=builder.name if built_here else "",
             extra={
                 "num_cells": trie.num_cells,
                 "epsilon": epsilon,

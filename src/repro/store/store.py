@@ -26,9 +26,8 @@ batch query machinery:
 Every query path (range counts, raster counts, the ACT aggregation join,
 result-range estimation) answers **exactly** what a store rebuilt from
 scratch over the live point set would answer — bit for bit, float aggregates
-included, on both probe engines.  The parity suite in
-``tests/store/test_store_parity.py`` locks this down over scripted
-interleavings of insert / delete / flush / compact.
+included.  The parity suite in ``tests/store/test_store_parity.py`` locks
+this down over scripted interleavings of insert / delete / flush / compact.
 """
 
 from __future__ import annotations
@@ -644,8 +643,8 @@ class SpatialStore:
             )
 
     # Convenience: run each query path against a fresh snapshot.
-    def count_in_ranges(self, ranges, engine=None) -> int:
-        return self.snapshot().count_in_ranges(ranges, engine=engine)
+    def count_in_ranges(self, ranges) -> int:
+        return self.snapshot().count_in_ranges(ranges)
 
     def raster_count(self, region, cells_per_polygon, **kwargs) -> int:
         return self.snapshot().raster_count(region, cells_per_polygon, **kwargs)

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from repro.api import EngineConfig, IndexRegistry, SpatialDataset
+from repro.api import dataset as dataset_module
 from repro.errors import QueryError
-from repro.query import AggregationQuery
-from repro.query.engine import PythonLoopEngine, VectorizedEngine
+from repro.query import AggregationQuery, CostModel
 
 
 class TestConstruction:
@@ -78,54 +80,38 @@ class TestSuites:
 
 
 class TestConfigPlumbing:
-    """EngineConfig defaults and per-query overrides reach the kernels."""
-
-    @pytest.mark.parametrize("engine", ["python", "vectorized"])
-    def test_default_engine_reaches_probe(self, workload, taxi_points, neighborhoods, engine, monkeypatch):
-        calls = []
-        for cls, label in ((PythonLoopEngine, "python"), (VectorizedEngine, "vectorized")):
-            original = cls.probe_act
-
-            def wrapper(self, *a, _original=original, _label=label, **k):
-                calls.append(_label)
-                return _original(self, *a, **k)
-
-            monkeypatch.setattr(cls, "probe_act", wrapper)
-        dataset = SpatialDataset(
-            taxi_points,
-            frame=workload.frame(),
-            extent=workload.extent,
-            suites={"n": neighborhoods},
-            config=EngineConfig(engine=engine),
-        )
-        dataset.query(AggregationQuery(epsilon=8.0), strategy="act")
-        assert set(calls) == {engine}
+    """EngineConfig defaults and per-query overrides reach the planner."""
 
     def test_per_query_override_beats_default(self, dataset, monkeypatch):
-        calls = []
-        original = PythonLoopEngine.probe_act
+        seen = []
+        original = dataset_module.choose_plan
 
-        def wrapper(self, *a, **k):
-            calls.append("python")
-            return original(self, *a, **k)
+        def spy(*args, **kwargs):
+            seen.append(kwargs["workers"])
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(PythonLoopEngine, "probe_act", wrapper)
-        dataset.query(AggregationQuery(epsilon=8.0), strategy="act", engine="python")
-        assert calls == ["python"]
+        monkeypatch.setattr(dataset_module, "choose_plan", spy)
+        dataset.query(AggregationQuery(epsilon=8.0), strategy="act")
+        dataset.query(AggregationQuery(epsilon=8.0), strategy="act", workers=3)
+        assert seen == [0, 3]
 
     def test_engine_config_merged(self):
-        config = EngineConfig(engine="python", build_engine="suite")
-        merged = config.merged(engine="vectorized")
-        assert merged.engine == "vectorized"
-        assert merged.build_engine == "suite"
-        assert config.engine == "python"  # original untouched
+        model = CostModel()
+        config = EngineConfig(cost_model=model, workers=2)
+        merged = config.merged(workers=4)
+        assert merged.workers == 4
+        assert merged.cost_model is model
+        assert config.workers == 2  # original untouched
         assert config.merged() is config
+        assert config.merged(cost_model=None).resolved_cost_model() == CostModel()
 
-    def test_build_engine_reaches_registry(self, dataset):
-        dataset.query(AggregationQuery(epsilon=8.0), strategy="act", build_engine="python")
-        dataset.query(AggregationQuery(epsilon=8.0), strategy="act", build_engine="suite")
-        # Different builders key different cache entries.
-        assert dataset.registry.stats.misses == 2
+    def test_no_backend_knobs(self, dataset):
+        """One probe path, one build path: nothing selects a backend."""
+        assert [f.name for f in fields(EngineConfig)] == ["cost_model", "device", "workers"]
+        with pytest.raises(TypeError):
+            EngineConfig(engine="python")
+        with pytest.raises(TypeError):
+            dataset.query(AggregationQuery(epsilon=8.0), strategy="act", build_engine="suite")
 
 
 class TestRegistryReuse:

@@ -49,9 +49,8 @@ class TestQuerySpans:
         total_self = sum(s.self_seconds for s in root.walk())
         assert total_self == pytest.approx(root.seconds, rel=0.05)
 
-    @pytest.mark.parametrize("engine", ["python", "vectorized"])
     def test_explain_fields_identical_with_and_without_tracer(
-        self, workload, taxi_points, neighborhoods, engine
+        self, workload, taxi_points, neighborhoods
     ):
         def run(traced: bool):
             ds = SpatialDataset(
@@ -60,7 +59,7 @@ class TestQuerySpans:
             if traced:
                 trace.enable()
             outcome = ds.query(
-                AggregationQuery(epsilon=4.0), strategy="act", engine=engine
+                AggregationQuery(epsilon=4.0), strategy="act"
             )
             trace.disable()
             return outcome

@@ -3,8 +3,8 @@
 The facade's core contract (and this PR's acceptance bar): planning and
 executing through :class:`repro.api.SpatialDataset` returns **bit-identical**
 results — float aggregates included — to calling the execution kernels by
-hand, for every strategy the optimizer can choose, on both probe engines,
-including the ``epsilon=None`` exact path and empty inputs.
+hand, for every strategy the optimizer can choose, including the
+``epsilon=None`` exact path and empty inputs.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from repro.query import (
 )
 from repro.query.join_mm import act_approximate_join
 
-ENGINES = ("python", "vectorized")
-
 
 def _assert_bit_identical(facade_result, kernel_result):
     assert np.array_equal(facade_result.counts, kernel_result.counts)
@@ -39,28 +37,25 @@ def _assert_bit_identical(facade_result, kernel_result):
 class TestForcedStrategyParity:
     """Each strategy, forced through the facade, matches its kernel bitwise."""
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_act(self, dataset, taxi_points, neighborhoods, frame, engine):
+    def test_act(self, dataset, taxi_points, neighborhoods, frame):
         outcome = dataset.query(
-            AggregationQuery(epsilon=8.0), strategy="act", engine=engine
+            AggregationQuery(epsilon=8.0), strategy="act"
         )
         direct = act_approximate_join(
-            taxi_points, neighborhoods, frame, epsilon=8.0, engine=engine
+            taxi_points, neighborhoods, frame, epsilon=8.0
         )
         assert outcome.strategy == "act"
         _assert_bit_identical(outcome, direct)
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_rtree(self, dataset, taxi_points, neighborhoods, engine):
-        outcome = dataset.query(AggregationQuery(), strategy="rtree", engine=engine)
-        direct = rtree_exact_join(taxi_points, neighborhoods, engine=engine)
+    def test_rtree(self, dataset, taxi_points, neighborhoods):
+        outcome = dataset.query(AggregationQuery(), strategy="rtree")
+        direct = rtree_exact_join(taxi_points, neighborhoods)
         assert outcome.strategy == "rtree"
         _assert_bit_identical(outcome, direct)
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_shape_index(self, dataset, taxi_points, neighborhoods, frame, engine):
-        outcome = dataset.query(AggregationQuery(), strategy="shape-index", engine=engine)
-        direct = shape_index_exact_join(taxi_points, neighborhoods, frame, engine=engine)
+    def test_shape_index(self, dataset, taxi_points, neighborhoods, frame):
+        outcome = dataset.query(AggregationQuery(), strategy="shape-index")
+        direct = shape_index_exact_join(taxi_points, neighborhoods, frame)
         assert outcome.strategy == "shape-index"
         _assert_bit_identical(outcome, direct)
 
@@ -78,14 +73,13 @@ class TestForcedStrategyParity:
         assert outcome.strategy == "exact"
         _assert_bit_identical(outcome, direct)
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_sum_aggregate_parity(self, dataset, taxi_points, neighborhoods, frame, engine):
+    def test_sum_aggregate_parity(self, dataset, taxi_points, neighborhoods, frame):
         from repro.query import Aggregate
 
         spec = AggregationQuery(aggregate=Aggregate.SUM, attribute="fare", epsilon=8.0)
-        outcome = dataset.query(spec, strategy="act", engine=engine)
+        outcome = dataset.query(spec, strategy="act")
         direct = act_approximate_join(
-            taxi_points, neighborhoods, frame, epsilon=8.0, query=spec, engine=engine
+            taxi_points, neighborhoods, frame, epsilon=8.0, query=spec
         )
         _assert_bit_identical(outcome, direct)
 
@@ -93,37 +87,35 @@ class TestForcedStrategyParity:
 class TestNaturalChoiceParity:
     """The optimizer's own pick, executed, still matches its kernel bitwise."""
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_with_bound(self, dataset, taxi_points, neighborhoods, frame, workload, engine):
+    def test_with_bound(self, dataset, taxi_points, neighborhoods, frame, workload):
         spec = AggregationQuery(epsilon=8.0)
         choice = dataset.plan(spec)
-        outcome = dataset.query(spec, engine=engine)
+        outcome = dataset.query(spec)
         assert outcome.strategy == choice.strategy
         kernels = {
             "act": lambda: act_approximate_join(
-                taxi_points, neighborhoods, frame, epsilon=8.0, engine=engine
+                taxi_points, neighborhoods, frame, epsilon=8.0
             ),
             "raster": lambda: bounded_raster_join(
                 taxi_points, neighborhoods, epsilon=8.0, extent=workload.extent
             ),
-            "rtree": lambda: rtree_exact_join(taxi_points, neighborhoods, engine=engine),
+            "rtree": lambda: rtree_exact_join(taxi_points, neighborhoods),
             "shape-index": lambda: shape_index_exact_join(
-                taxi_points, neighborhoods, frame, engine=engine
+                taxi_points, neighborhoods, frame
             ),
         }
         _assert_bit_identical(outcome, kernels[choice.strategy]())
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_exact_required(self, dataset, taxi_points, neighborhoods, frame, engine):
+    def test_exact_required(self, dataset, taxi_points, neighborhoods, frame):
         """epsilon=None: only exact strategies compete, and the pick runs."""
         spec = AggregationQuery(epsilon=None)
         choice = dataset.plan(spec)
         assert choice.strategy in ("rtree", "shape-index", "exact")
-        outcome = dataset.query(spec, engine=engine)
+        outcome = dataset.query(spec)
         kernels = {
-            "rtree": lambda: rtree_exact_join(taxi_points, neighborhoods, engine=engine),
+            "rtree": lambda: rtree_exact_join(taxi_points, neighborhoods),
             "shape-index": lambda: shape_index_exact_join(
-                taxi_points, neighborhoods, frame, engine=engine
+                taxi_points, neighborhoods, frame
             ),
             "exact": lambda: gpu_baseline_join(
                 taxi_points, neighborhoods, extent=dataset.extent
@@ -143,37 +135,34 @@ class TestEdgeInputs:
             {name: np.empty(0) for name in taxi_points.attribute_names},
         )
 
-    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("strategy", ["act", "rtree", "shape-index"])
     def test_empty_point_set(
-        self, workload, frame, neighborhoods, empty_points, strategy, engine
+        self, workload, frame, neighborhoods, empty_points, strategy
     ):
         dataset = SpatialDataset(
             empty_points, frame=frame, extent=workload.extent,
             suites={"neighborhoods": neighborhoods},
         )
         spec = AggregationQuery(epsilon=8.0 if strategy == "act" else None)
-        outcome = dataset.query(spec, strategy=strategy, engine=engine)
+        outcome = dataset.query(spec, strategy=strategy)
         assert outcome.counts.shape == (len(neighborhoods),)
         assert not outcome.counts.any()
         assert not np.asarray(outcome.aggregates).any()
 
-    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("strategy", ["act", "rtree", "shape-index"])
-    def test_empty_suite(self, workload, frame, taxi_points, strategy, engine):
+    def test_empty_suite(self, workload, frame, taxi_points, strategy):
         dataset = SpatialDataset(
             taxi_points, frame=frame, extent=workload.extent, suites={"empty": []}
         )
         spec = AggregationQuery(epsilon=8.0 if strategy == "act" else None)
-        outcome = dataset.query(spec, strategy=strategy, engine=engine)
+        outcome = dataset.query(spec, strategy=strategy)
         assert outcome.counts.shape == (0,)
         assert np.asarray(outcome.aggregates).shape == (0,)
 
 
 class TestStoreBackedParity:
-    @pytest.mark.parametrize("engine", ENGINES)
     def test_act_over_store_equals_kernel_over_live_points(
-        self, workload, frame, taxi_points, neighborhoods, engine
+        self, workload, frame, taxi_points, neighborhoods
     ):
         from repro.store import SpatialStore
 
@@ -185,44 +174,42 @@ class TestStoreBackedParity:
         store.delete(np.arange(0, len(taxi_points), 7))
         dataset = SpatialDataset(store, suites={"neighborhoods": neighborhoods})
         outcome = dataset.query(
-            AggregationQuery(epsilon=8.0), strategy="act", engine=engine
+            AggregationQuery(epsilon=8.0), strategy="act"
         )
         direct = act_approximate_join(
-            store.snapshot().live_points(), neighborhoods, frame, epsilon=8.0, engine=engine
+            store.snapshot().live_points(), neighborhoods, frame, epsilon=8.0
         )
         _assert_bit_identical(outcome, direct)
 
-    @pytest.mark.parametrize("engine", ENGINES)
     def test_exact_over_store_materialises_live_points(
-        self, workload, frame, taxi_points, neighborhoods, engine
+        self, workload, frame, taxi_points, neighborhoods
     ):
         from repro.store import SpatialStore
 
         store = SpatialStore(frame, 8, attributes=taxi_points.attribute_names)
         store.insert(taxi_points)
         dataset = SpatialDataset(store, suites={"neighborhoods": neighborhoods})
-        outcome = dataset.query(AggregationQuery(), strategy="rtree", engine=engine)
+        outcome = dataset.query(AggregationQuery(), strategy="rtree")
         direct = rtree_exact_join(
-            store.snapshot().live_points(), neighborhoods, engine=engine
+            store.snapshot().live_points(), neighborhoods
         )
         _assert_bit_identical(outcome, direct)
 
 
 class TestNonJoinPaths:
-    @pytest.mark.parametrize("engine", ENGINES)
     def test_raster_count_parity(
-        self, dataset, taxi_points, neighborhoods, frame, engine
+        self, dataset, taxi_points, neighborhoods, frame
     ):
         from repro.index import SortedCodeArray
         from repro.query import LinearizedPoints
 
         counts = dataset.raster_count(
-            "neighborhoods", cells_per_polygon=64, engine=engine
+            "neighborhoods", cells_per_polygon=64
         )
         linearized = LinearizedPoints.build(taxi_points, frame, dataset.level)
         index = SortedCodeArray(linearized.codes, assume_sorted=True)
         direct = [
-            raster_count(region, linearized, index, cells_per_polygon=64, engine=engine)
+            raster_count(region, linearized, index, cells_per_polygon=64)
             for region in neighborhoods
         ]
         assert counts.tolist() == direct

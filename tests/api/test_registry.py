@@ -61,14 +61,6 @@ class TestRegistryCache:
         assert len(registry) == 2
         assert registry.stats.build_seconds > 0
 
-    def test_build_engine_keys_the_cache(self, neighborhoods, workload):
-        frame = workload.frame()
-        registry = IndexRegistry()
-        suite = registry.act_index(neighborhoods, frame, epsilon=8.0, build_engine="suite")
-        python = registry.act_index(neighborhoods, frame, epsilon=8.0, build_engine="python")
-        assert suite is not python
-        assert registry.stats.misses == 2
-
     def test_cached_index_is_bit_identical_to_fresh_build(
         self, taxi_points, neighborhoods, workload
     ):

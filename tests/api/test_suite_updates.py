@@ -4,10 +4,10 @@ The end-to-end rebuild-parity contract: after any sequence of
 ``replace_polygon`` / ``add_polygons`` / ``remove_polygons`` /
 ``apply_suite`` calls, a query over the patched dataset answers
 **bit-identically** (floats included) to a fresh dataset built over the
-mutated suite — on both probe engines, static and store-backed, sharded and
-unsharded, direct and served.  Modify-to-identical mutations are
-fingerprint-skipped no-ops, and the serving layer's suite-update requests
-fence queued queries onto the correct side of the mutation.
+mutated suite — static and store-backed, sharded and unsharded, direct and
+served.  Modify-to-identical mutations are fingerprint-skipped no-ops, and
+the serving layer's suite-update requests fence queued queries onto the
+correct side of the mutation.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ SCOPED_KEYS = {
 }
 
 
-def _oracle(workload, taxi_points, regions, *, strategy="act", shards=None, **overrides):
+def _oracle(workload, taxi_points, regions, *, strategy="act", shards=None):
     """A fresh dataset over the mutated suite — the rebuild-parity oracle."""
     fresh = SpatialDataset(
         taxi_points,
@@ -44,7 +44,7 @@ def _oracle(workload, taxi_points, regions, *, strategy="act", shards=None, **ov
         suites={"oracle": list(regions)},
         shards=shards,
     )
-    return fresh.query(SPEC, suite="oracle", strategy=strategy, **overrides)
+    return fresh.query(SPEC, suite="oracle", strategy=strategy)
 
 
 def _assert_matches(result, oracle):
@@ -68,9 +68,8 @@ class TestPatchParity:
         mutated = [moved, *neighborhoods[1:]]
         _assert_matches(result, _oracle(workload, taxi_points, mutated))
 
-    @pytest.mark.parametrize("engine", ["python", "vectorized"])
-    def test_mutation_sequence_parity_on_both_engines(
-        self, engine, dataset, workload, taxi_points, neighborhoods
+    def test_mutation_sequence_parity(
+        self, dataset, workload, taxi_points, neighborhoods
     ):
         dataset.act_index("neighborhoods", EPSILON)
         current = list(neighborhoods)
@@ -83,11 +82,9 @@ class TestPatchParity:
         dataset.replace_polygon("neighborhoods", 2, replacement)
         current[2] = replacement
 
-        result = dataset.query(SPEC, strategy="act", engine=engine)
+        result = dataset.query(SPEC, strategy="act")
         assert result.counts.shape == (len(current),)
-        _assert_matches(
-            result, _oracle(workload, taxi_points, current, engine=engine)
-        )
+        _assert_matches(result, _oracle(workload, taxi_points, current))
 
     def test_apply_suite_diffs_positionally(self, dataset, workload, taxi_points, neighborhoods):
         dataset.act_index("neighborhoods", EPSILON)

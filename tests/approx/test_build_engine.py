@@ -1,13 +1,13 @@
-"""Parity regression tests: batch build engines ≡ python-recursion oracle.
+"""Parity regression tests: the suite-wide sweep ≡ the per-cell recursion oracle.
 
-The per-cell recursive refinement is the correctness oracle of the batch
-build engine refactor; the level-synchronous frontier sweep — per-region
-(``vectorized``) and suite-wide (``suite``) — must emit the **identical cell
-set** — codes, levels and boundary flags — for every construction mode
-(distance-bounded and budgeted, conservative and non-conservative), on
-convex blobs, concave shapes, polygons with holes and multipolygons.
-FlatACT bulk loading must likewise reproduce the trie flattening bit for
-bit.
+The per-cell recursive refinement (``tests/oracles/hr_recursive.py``) is the
+correctness oracle of the construction path; the level-synchronous
+suite-wide frontier sweep must emit the **identical cell set** — codes,
+levels and boundary flags — for every construction mode (distance-bounded
+and budgeted, conservative and non-conservative), on convex blobs, concave
+shapes, polygons with holes and multipolygons, whether it sweeps one region
+or a whole suite.  FlatACT bulk loading must likewise reproduce the oracle's
+per-insert trie, flattened, bit for bit.
 """
 
 from __future__ import annotations
@@ -15,23 +15,34 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.approx import (
-    BUILD_ENGINES,
-    DEFAULT_BUILD_ENGINE,
-    HierarchicalRasterApproximation,
-    get_build_engine,
-)
-from repro.approx.build_engine import BuildEngine
+from oracles import hr_recursive
+from repro.approx import HierarchicalRasterApproximation, HRBuilder, get_build_engine
 from repro.data import NYCWorkload, noisy_convex_polygon
 from repro.errors import ApproximationError
 from repro.geometry import BoundingBox, MultiPolygon, Polygon
 from repro.grid import GridFrame
-from repro.index import AdaptiveCellTrie, FlatACT
+from repro.index import FlatACT
 
 
 def cell_set(approx: HierarchicalRasterApproximation) -> set[tuple[int, int, bool]]:
     codes, levels, boundary = approx.cell_arrays()
     return set(zip(levels.tolist(), codes.tolist(), boundary.tolist()))
+
+
+def sweep_one(region, frame, **kwargs) -> HierarchicalRasterApproximation:
+    """The sweep over a one-region suite — what single-region builds run."""
+    return HierarchicalRasterApproximation._build_frontier_suite([region], frame, **kwargs)[0]
+
+
+def assert_same_levels(got: FlatACT, want: FlatACT) -> None:
+    assert got.max_level == want.max_level
+    assert got.num_cells == want.num_cells
+    assert got.num_levels == want.num_levels
+    for (l1, k1, o1, p1), (l2, k2, o2, p2) in zip(got._levels, want._levels):
+        assert l1 == l2
+        np.testing.assert_array_equal(k1, k2)
+        np.testing.assert_array_equal(o1, o2)
+        np.testing.assert_array_equal(p1, p2)
 
 
 @pytest.fixture(scope="module")
@@ -62,15 +73,15 @@ def region(request):
 
 
 class TestFrontierSweepParity:
-    """`_build_frontier` emits exactly the oracle's cells."""
+    """The one-region suite sweep emits exactly the oracle's cells."""
 
     @pytest.mark.parametrize("conservative", [True, False])
     @pytest.mark.parametrize("max_cells", [None, 4, 16, 64, 256])
     def test_cell_set_identical(self, frame, region, conservative, max_cells):
-        oracle = HierarchicalRasterApproximation._build(
+        oracle = hr_recursive.build_hr(
             region, frame, max_level=8, max_cells=max_cells, conservative=conservative
         )
-        swept = HierarchicalRasterApproximation._build_frontier(
+        swept = sweep_one(
             region, frame, max_level=8, max_cells=max_cells, conservative=conservative
         )
         assert cell_set(oracle) == cell_set(swept)
@@ -78,50 +89,35 @@ class TestFrontierSweepParity:
         assert oracle.num_boundary_cells == swept.num_boundary_cells
 
     def test_from_bound_engines_agree(self, frame, region):
-        oracle = HierarchicalRasterApproximation.from_bound(
-            region, frame, epsilon=2.0, engine="python"
-        )
-        swept = HierarchicalRasterApproximation.from_bound(
-            region, frame, epsilon=2.0, engine="vectorized"
-        )
+        oracle = hr_recursive.build_bound(region, frame, epsilon=2.0)
+        swept = HierarchicalRasterApproximation.from_bound(region, frame, epsilon=2.0)
         assert cell_set(oracle) == cell_set(swept)
 
     def test_budget_engines_agree_through_public_api(self, frame, region):
-        per_engine = [
-            HierarchicalRasterApproximation.from_cell_budget(
-                region, frame, max_cells=64, engine=engine
-            )
-            for engine in BUILD_ENGINES
-        ]
-        for other in per_engine[1:]:
-            assert cell_set(per_engine[0]) == cell_set(other)
+        oracle = hr_recursive.build_hr(region, frame, max_cells=64)
+        swept = HierarchicalRasterApproximation.from_cell_budget(region, frame, max_cells=64)
+        assert cell_set(oracle) == cell_set(swept)
+        assert oracle.max_level == swept.max_level
 
     def test_covers_points_identical(self, frame, region, rng):
         xs = rng.uniform(0.0, 100.0, 500)
         ys = rng.uniform(0.0, 100.0, 500)
-        oracle = HierarchicalRasterApproximation.from_cell_budget(
-            region, frame, max_cells=128, engine="python"
-        )
-        swept = HierarchicalRasterApproximation.from_cell_budget(
-            region, frame, max_cells=128, engine="vectorized"
-        )
+        oracle = hr_recursive.build_hr(region, frame, max_cells=128)
+        swept = HierarchicalRasterApproximation.from_cell_budget(region, frame, max_cells=128)
         np.testing.assert_array_equal(
             oracle.covers_points(xs, ys), swept.covers_points(xs, ys)
         )
 
 
 class TestBatchConstruction:
-    @pytest.mark.parametrize("engine", BUILD_ENGINES)
-    def test_batch_equals_individual_builds(self, frame, engine):
+    def test_batch_equals_individual_builds(self, frame):
         regions = [noisy_convex_polygon(30.0 + 8 * k, 40.0, 9.0, 12, seed=k) for k in range(5)]
         batch = HierarchicalRasterApproximation.from_cell_budget_batch(
-            regions, frame, max_cells=64, engine=engine
+            regions, frame, max_cells=64
         )
         assert len(batch) == len(regions)
         for region, approx in zip(regions, batch):
-            single = HierarchicalRasterApproximation.from_cell_budget(
-                region, frame, max_cells=64, engine="python"
-            )
+            single = hr_recursive.build_hr(region, frame, max_cells=64)
             assert cell_set(single) == cell_set(approx)
 
     def test_budget_validated(self, frame):
@@ -144,7 +140,7 @@ class TestBatchConstruction:
 
 
 class TestFlatACTBulkLoad:
-    """`FlatACT.from_cells` / `FlatACT.build` ≡ flattening the per-insert trie."""
+    """`FlatACT.build` ≡ flattening the oracle's per-insert trie."""
 
     @pytest.fixture(scope="class")
     def suite(self):
@@ -153,21 +149,12 @@ class TestFlatACTBulkLoad:
 
     def test_bulk_load_matches_trie_flatten(self, suite):
         regions, frame = suite
-        trie = AdaptiveCellTrie.build(regions, frame, epsilon=8.0)
-        via_trie = trie.flattened()
-        via_bulk = FlatACT.build(regions, frame, epsilon=8.0)
-        assert via_bulk.max_level == via_trie.max_level
-        assert via_bulk.num_cells == via_trie.num_cells
-        assert via_bulk.num_levels == via_trie.num_levels
-        for (l1, k1, o1, p1), (l2, k2, o2, p2) in zip(via_trie._levels, via_bulk._levels):
-            assert l1 == l2
-            np.testing.assert_array_equal(k1, k2)
-            np.testing.assert_array_equal(o1, o2)
-            np.testing.assert_array_equal(p1, p2)
+        via_trie = hr_recursive.load_act(regions, frame, epsilon=8.0).flattened()
+        assert_same_levels(FlatACT.build(regions, frame, epsilon=8.0), via_trie)
 
     def test_bulk_index_answers_probes_like_trie(self, suite, rng):
         regions, frame = suite
-        trie = AdaptiveCellTrie.build(regions, frame, epsilon=8.0)
+        trie = hr_recursive.load_act(regions, frame, epsilon=8.0)
         flat = FlatACT.build(regions, frame, epsilon=8.0)
         xs = rng.uniform(0.0, 1000.0, 800)
         ys = rng.uniform(0.0, 1000.0, 800)
@@ -198,7 +185,7 @@ class TestFlatACTBulkLoad:
 
 
 class TestSuiteSweepParity:
-    """The suite-wide sweep emits exactly the per-region sweeps' cells."""
+    """The suite-wide sweep emits exactly the one-region sweeps' cells."""
 
     @pytest.fixture(scope="class")
     def mixed_suite(self, frame):
@@ -227,7 +214,7 @@ class TestSuiteSweepParity:
         )
         assert len(suite) == len(mixed_suite)
         for region, batched in zip(mixed_suite, suite):
-            single = HierarchicalRasterApproximation._build_frontier(
+            single = sweep_one(
                 region, frame, max_level=8, max_cells=max_cells, conservative=conservative
             )
             assert cell_set(single) == cell_set(batched)
@@ -239,34 +226,24 @@ class TestSuiteSweepParity:
 
     @pytest.mark.parametrize("max_cells", [1, 2, 3])
     def test_tiny_budget_parity_all_engines(self, frame, mixed_suite, max_cells):
-        """1–3 cell budgets stop before the first split on every backend."""
+        """1–3 cell budgets stop before the first split, as in the oracle."""
         oracle = [
-            HierarchicalRasterApproximation.from_cell_budget(
-                region, frame, max_cells=max_cells, engine="python"
-            )
-            for region in mixed_suite
+            hr_recursive.build_hr(region, frame, max_cells=max_cells) for region in mixed_suite
         ]
-        for engine in BUILD_ENGINES:
-            batch = HierarchicalRasterApproximation.from_cell_budget_batch(
-                mixed_suite, frame, max_cells=max_cells, engine=engine
+        batch = HierarchicalRasterApproximation.from_cell_budget_batch(
+            mixed_suite, frame, max_cells=max_cells
+        )
+        for region, ref, approx in zip(mixed_suite, oracle, batch):
+            assert cell_set(ref) == cell_set(approx)
+            assert approx.num_cells <= max_cells
+            single = HierarchicalRasterApproximation.from_cell_budget(
+                region, frame, max_cells=max_cells
             )
-            for ref, approx in zip(oracle, batch):
-                assert cell_set(ref) == cell_set(approx)
-                assert approx.num_cells <= max_cells
+            assert cell_set(single) == cell_set(approx)
 
     def test_suite_bound_build_matches_flat_act(self, frame, mixed_suite):
-        via_suite = FlatACT.build(mixed_suite, frame, epsilon=4.0, build_engine="suite")
-        via_per_region = FlatACT.build(
-            mixed_suite, frame, epsilon=4.0, build_engine="vectorized"
-        )
-        assert via_suite.num_cells == via_per_region.num_cells
-        for (l1, k1, o1, p1), (l2, k2, o2, p2) in zip(
-            via_suite._levels, via_per_region._levels
-        ):
-            assert l1 == l2
-            np.testing.assert_array_equal(k1, k2)
-            np.testing.assert_array_equal(o1, o2)
-            np.testing.assert_array_equal(p1, p2)
+        via_trie = hr_recursive.load_act(mixed_suite, frame, epsilon=4.0).flattened()
+        assert_same_levels(FlatACT.build(mixed_suite, frame, epsilon=4.0), via_trie)
 
     @pytest.mark.parametrize("conservative", [True, False])
     @pytest.mark.parametrize("epsilon", [16.0, 4.0])
@@ -290,13 +267,11 @@ class TestSuiteSweepParity:
             ]
         )
         regions = [holed, touching]
-        batched = get_build_engine("suite").build_bound_batch(
+        batched = get_build_engine().build_bound_batch(
             regions, frame, epsilon, conservative=conservative
         )
         for region, swept in zip(regions, batched):
-            oracle = get_build_engine("python").build_bound(
-                region, frame, epsilon, conservative=conservative
-            )
+            oracle = hr_recursive.build_bound(region, frame, epsilon, conservative=conservative)
             assert cell_set(oracle) == cell_set(swept)
             assert oracle.max_level == swept.max_level
 
@@ -310,24 +285,22 @@ class TestSuiteSweepParity:
 
 
 class TestEngineResolution:
-    def test_default_is_suite(self):
-        assert DEFAULT_BUILD_ENGINE == "suite"
-        assert get_build_engine(None).name == "suite"
-
-    def test_engine_instance_passthrough(self):
-        engine = get_build_engine("python")
-        assert get_build_engine(engine) is engine
-        assert isinstance(engine, BuildEngine)
+    def test_none_is_the_one_builder(self):
+        builder = get_build_engine(None)
+        assert isinstance(builder, HRBuilder)
+        assert get_build_engine() is builder
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ApproximationError):
-            get_build_engine("gpu")
+        """Every name is rejected, the retired backend names included."""
+        for name in ("gpu", "python", "vectorized", "suite"):
+            with pytest.raises(ApproximationError):
+                get_build_engine(name)
 
 
 class TestReplayBudget:
     """The vectorised budget replay vs the oracle's sequential loop.
 
-    The suite/frontier sweeps replay the python oracle's best-first budget
+    The suite sweep replays the recursive oracle's best-first budget
     accounting over per-parent cell deltas; `_replay_budget` does it with
     prefix sums and a first-failure cutoff.  Deltas can be negative (all
     children outside), so the prefix is non-monotone — the property-style

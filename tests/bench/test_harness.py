@@ -10,7 +10,6 @@ from repro.bench import (
     BenchScale,
     append_run_record,
     default_records_path,
-    engines_from_env,
     format_ratio,
     format_table,
     measure,
@@ -69,32 +68,9 @@ class TestReporting:
         assert "e-05" in table
 
 
-class TestEnginesFromEnv:
-    def test_default_runs_both_backends(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_ENGINES", raising=False)
-        assert engines_from_env() == ("python", "vectorized")
-
-    def test_single_engine(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_ENGINES", "vectorized")
-        assert engines_from_env() == ("vectorized",)
-
-    def test_empty_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_ENGINES", " , ")
-        with pytest.raises(ValueError):
-            engines_from_env()
-
-    def test_unknown_engine_rejected_at_once(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_ENGINES", "vectorised")  # typo
-        with pytest.raises(ValueError, match="vectorised"):
-            engines_from_env()
-
-
 class TestRunRecords:
-    def test_record_carries_engine_and_throughput(self):
-        record = run_record(
-            "fig6", "act:census", 0.5, engine="vectorized", num_points=1000, metrics={"pip": 0}
-        )
-        assert record["engine"] == "vectorized"
+    def test_record_carries_throughput(self):
+        record = run_record("fig6", "act:census", 0.5, num_points=1000, metrics={"pip": 0})
         assert record["points_per_second"] == pytest.approx(2000.0)
         assert record["metrics"] == {"pip": 0}
         assert record["run_id"]
@@ -129,7 +105,6 @@ class TestRunRecords:
             "serving",
             "coalesced:act",
             2.0,
-            engine="vectorized",
             latency_p50_ms=3.5,
             latency_p99_ms=11.25,
             qps=412.0,
@@ -149,8 +124,8 @@ class TestRunRecords:
 
     def test_append_writes_json_lines(self, tmp_path):
         path = str(tmp_path / "nested" / "runs.jsonl")
-        append_run_record(run_record("fig6", "a", 1.0, engine="python", num_points=10), path)
-        append_run_record(run_record("fig6", "b", 2.0, engine="vectorized", num_points=10), path)
+        append_run_record(run_record("fig6", "a", 1.0, num_points=10), path)
+        append_run_record(run_record("fig6", "b", 2.0, num_points=10), path)
         with open(path, encoding="utf-8") as handle:
             records = [json.loads(line) for line in handle]
         assert [r["name"] for r in records] == ["a", "b"]

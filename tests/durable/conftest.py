@@ -11,9 +11,6 @@ import pytest
 
 from repro.durable import crashsim
 
-#: Both probe backends: recovered state must answer identically on each.
-ENGINES = ("python", "vectorized")
-
 
 @pytest.fixture(scope="session")
 def crash_frame():

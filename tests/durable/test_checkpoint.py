@@ -47,14 +47,14 @@ class TestStaticSessions:
             _points(1),
             frame=crash_frame,
             suites={"zones": suite_regions},
-            config=EngineConfig(engine="vectorized", workers=0),
+            config=EngineConfig(workers=3),
             level=10,
         )
         reference = dataset.query(spec)
         dataset.save(tmp_path / "session")
         restored = SpatialDataset.open(tmp_path / "session")
         assert restored.level == 10
-        assert restored.config.engine == "vectorized"
+        assert restored.config == EngineConfig(workers=3)
         assert restored.suite("zones").fingerprint == dataset.suite("zones").fingerprint
         result = restored.query(spec)
         np.testing.assert_array_equal(result.aggregates, reference.aggregates)
@@ -75,13 +75,57 @@ class TestStaticSessions:
             _points(3),
             frame=crash_frame,
             suites={"zones": suite_regions},
-            config=EngineConfig(engine="python"),
+            config=EngineConfig(workers=1),
         )
         dataset.save(tmp_path / "session")
-        restored = SpatialDataset.open(
-            tmp_path / "session", config=EngineConfig(engine="vectorized")
+        restored = SpatialDataset.open(tmp_path / "session", config=EngineConfig(workers=2))
+        assert restored.config.workers == 2
+
+    def test_parent_format_manifest_opens(self, tmp_path, crash_frame, suite_regions, spec):
+        """A manifest from before the backend knobs were retired still opens:
+        its ``config.engine`` / ``config.build_engine`` keys are ignored."""
+        import json
+
+        dataset = SpatialDataset(
+            _points(12), frame=crash_frame, suites={"zones": suite_regions}, level=10
         )
-        assert restored.config.engine == "vectorized"
+        reference = dataset.query(spec)
+        dataset.save(tmp_path / "session")  # writes points.npz + the suite WKT
+        suite = dataset.suite("zones")
+        manifest = {
+            "format_version": 1,
+            "kind": "static",
+            "level": 10,
+            "shards": None,
+            "extent": {"min_x": dataset.extent.min_x, "min_y": dataset.extent.min_y,
+                       "max_x": dataset.extent.max_x, "max_y": dataset.extent.max_y},
+            "frame": {"origin_x": crash_frame.origin_x, "origin_y": crash_frame.origin_y,
+                      "size": crash_frame.size},
+            "config": {"engine": "python", "build_engine": "vectorized", "workers": 2},
+            "suites": [{
+                "name": "zones",
+                "file": "suites/suite_0000.wkt",
+                "fingerprint": suite.fingerprint,
+                "entry_fingerprints": list(suite.entry_fingerprints),
+            }],
+        }
+        (tmp_path / "session/session.json").write_text(json.dumps(manifest, indent=2))
+        restored = SpatialDataset.open(tmp_path / "session")
+        assert restored.config == EngineConfig(workers=2)
+        result = restored.query(spec)
+        np.testing.assert_array_equal(result.aggregates, reference.aggregates)
+        np.testing.assert_array_equal(result.counts, reference.counts)
+
+    def test_saved_config_carries_no_backend_names(self, tmp_path, crash_frame, suite_regions):
+        import json
+
+        dataset = SpatialDataset(
+            _points(13), frame=crash_frame, suites={"zones": suite_regions}
+        )
+        dataset.save(tmp_path / "session")
+        data = json.loads((tmp_path / "session/session.json").read_text())
+        assert data["format_version"] == 1
+        assert data["config"] == {"workers": 0}
 
 
 class TestStoreSessions:
@@ -215,4 +259,58 @@ class TestVerification:
         data["format_version"] = 99
         manifest.write_text(json.dumps(data))
         with pytest.raises(StoreError, match="version"):
+            SpatialDataset.open(tmp_path / "session")
+
+    def test_truncated_manifest_raises(self, tmp_path, crash_frame, suite_regions):
+        dataset = SpatialDataset(
+            _points(14), frame=crash_frame, suites={"zones": suite_regions}
+        )
+        dataset.save(tmp_path / "session")
+        manifest = tmp_path / "session/session.json"
+        text = manifest.read_text()
+        manifest.write_text(text[: len(text) // 2])
+        with pytest.raises(StoreError, match="malformed session manifest"):
+            SpatialDataset.open(tmp_path / "session")
+
+    @pytest.mark.parametrize("key", ["kind", "level", "frame", "extent", "suites"])
+    def test_manifest_missing_required_key_raises(
+        self, tmp_path, crash_frame, suite_regions, key
+    ):
+        import json
+
+        dataset = SpatialDataset(
+            _points(15), frame=crash_frame, suites={"zones": suite_regions}
+        )
+        dataset.save(tmp_path / "session")
+        manifest = tmp_path / "session/session.json"
+        data = json.loads(manifest.read_text())
+        del data[key]
+        manifest.write_text(json.dumps(data))
+        with pytest.raises(StoreError, match=f"missing {key}"):
+            SpatialDataset.open(tmp_path / "session")
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda data: data.update(level="ten"),
+            lambda data: data["frame"].pop("size"),
+            lambda data: data["suites"][0].pop("fingerprint"),
+            lambda data: data.update(suites=7),
+        ],
+        ids=["level", "frame", "suite-entry", "suites"],
+    )
+    def test_manifest_with_malformed_value_raises(
+        self, tmp_path, crash_frame, suite_regions, corrupt
+    ):
+        import json
+
+        dataset = SpatialDataset(
+            _points(16), frame=crash_frame, suites={"zones": suite_regions}
+        )
+        dataset.save(tmp_path / "session")
+        manifest = tmp_path / "session/session.json"
+        data = json.loads(manifest.read_text())
+        corrupt(data)
+        manifest.write_text(json.dumps(data))
+        with pytest.raises(StoreError, match="malformed session manifest"):
             SpatialDataset.open(tmp_path / "session")

@@ -13,7 +13,7 @@ Three crash families, all driven by :mod:`repro.durable.crashsim` scripts:
 On op boundaries recovery must reproduce the oracle **structurally** (the
 exact run layout — replay is deterministic); mid-op crashes must land on
 *some* consistent script prefix logically, and always answer queries
-bit-identically to that prefix's oracle on both probe engines.
+bit-identically to that prefix's oracle.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from repro.durable import crashsim, faults
 from repro.shard.store import ShardedStore
 from repro.store.store import SpatialStore
 
-ENGINES = ("python", "vectorized")
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
@@ -50,11 +49,10 @@ def _probe_regions():
 
 def _assert_join_parity(recovered, oracle):
     regions = _probe_regions()
-    for engine in ENGINES:
-        mine = recovered.act_join(regions, epsilon=4.0, engine=engine)
-        theirs = oracle.act_join(regions, epsilon=4.0, engine=engine)
-        np.testing.assert_array_equal(mine.counts, theirs.counts)
-        np.testing.assert_array_equal(mine.aggregates, theirs.aggregates)
+    mine = recovered.act_join(regions, epsilon=4.0)
+    theirs = oracle.act_join(regions, epsilon=4.0)
+    np.testing.assert_array_equal(mine.counts, theirs.counts)
+    np.testing.assert_array_equal(mine.aggregates, theirs.aggregates)
 
 
 class TestInProcessRecovery:

@@ -76,11 +76,10 @@ class TestIncrementalMode:
             incremental.insert(batch)
             baseline.insert(batch)
         region = Polygon(np.array([[100.0, 100.0], [800.0, 100.0], [800.0, 800.0], [100.0, 800.0]]))
-        for engine in ("python", "vectorized"):
-            a = incremental.act_join([region], epsilon=4.0, engine=engine)
-            b = baseline.act_join([region], epsilon=4.0, engine=engine)
-            np.testing.assert_array_equal(a.counts, b.counts)
-            np.testing.assert_array_equal(a.aggregates, b.aggregates)
+        a = incremental.act_join([region], epsilon=4.0)
+        b = baseline.act_join([region], epsilon=4.0)
+        np.testing.assert_array_equal(a.counts, b.counts)
+        np.testing.assert_array_equal(a.aggregates, b.aggregates)
 
 
 class TestDebtGauge:

@@ -3,10 +3,11 @@
 The rebuild-parity contract under test: after **any** interleaving of
 ``add_polygons`` / ``remove_polygons`` / ``replace_polygon`` /
 ``consolidate``, the mutated index answers every probe **bit-identically**
-— on both probe engines — to a :meth:`FlatACT.build` from scratch over the
-mutated suite, and ``consolidate()`` reproduces that from-scratch build's
-exact arrays.  Persistence and the segment generation tokens (the
-shared-memory republish contract) are locked down here too.
+— through the batch probe and the per-point oracle alike — to a
+:meth:`FlatACT.build` from scratch over the mutated suite, and
+``consolidate()`` reproduces that from-scratch build's exact arrays.
+Persistence and the segment generation tokens (the shared-memory republish
+contract) are locked down here too.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles.act_level_loop import assert_kernel_matches_loop
+from oracles.probe_loop import PythonLoopEngine
 
 from repro.api.fingerprint import entry_fingerprints
 from repro.approx.build_engine import get_build_engine
@@ -22,7 +24,6 @@ from repro.errors import IndexError_
 from repro.geometry import BoundingBox, Polygon
 from repro.grid import GridFrame
 from repro.index import FlatACT
-from repro.query.engine import get_engine
 
 EPSILON = 16.0
 
@@ -62,13 +63,14 @@ def _fresh(regions, frame):
 
 
 def _assert_probe_parity(live, regions, frame, probes):
-    """Both probe engines agree bit for bit with a from-scratch build."""
+    """The batch probe and the per-point oracle both agree bit for bit with a
+    from-scratch build."""
     fresh = _fresh(regions, frame)
     xs, ys = probes
-    for engine_name in ("python", "vectorized"):
-        engine = get_engine(engine_name)
-        off_live, pids_live = engine.probe_act_pairs(live, xs, ys)
-        off_fresh, pids_fresh = engine.probe_act_pairs(fresh, xs, ys)
+    for probe in (lambda index: index.lookup_points_batch(xs, ys),
+                  lambda index: PythonLoopEngine().probe_act_pairs(index, xs, ys)):
+        off_live, pids_live = probe(live)
+        off_fresh, pids_fresh = probe(fresh)
         np.testing.assert_array_equal(off_live, off_fresh)
         np.testing.assert_array_equal(pids_live, pids_fresh)
     assert live.num_polygons == fresh.num_polygons == len(regions)

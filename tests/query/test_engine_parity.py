@@ -1,10 +1,11 @@
-"""Parity regression tests: vectorized backend ≡ python-loop backend.
+"""Parity regression tests: batch probe kernels ≡ the per-point loop oracle.
 
-The python-loop engine is the correctness oracle of the batch probe engine
-refactor; the vectorized engine must reproduce its results **exactly** —
-bit-identical float aggregates, equal counts and equal operation counters —
-for every join strategy and for ``raster_count``, on synthetic polygons as
-well as the NYC-style workload fixtures.
+The per-point index-nested loops (``tests/oracles/probe_loop.py``) are the
+correctness oracle of the batch probe kernels; every join strategy must
+reproduce them **exactly** — bit-identical float aggregates, equal counts
+and equal operation counters — and so must ``raster_count``, on synthetic
+polygons as well as the NYC-style workload fixtures.  Both sides probe the
+same index instance, so the comparison isolates the probe.
 """
 
 from __future__ import annotations
@@ -12,33 +13,64 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles.probe_loop import PythonLoopEngine
 from repro.data import NYCWorkload
 from repro.geometry import BoundingBox, Polygon
+from repro.geometry.point import PointSet
 from repro.grid import GridFrame
-from repro.index import BPlusTree, RadixSpline, SortedCodeArray
+from repro.index import BPlusTree, FlatACT, RadixSpline, RStarTree, ShapeIndex, SortedCodeArray
 from repro.query import (
     Aggregate,
     AggregationQuery,
     LinearizedPoints,
     act_approximate_join,
-    get_engine,
+    polygon_query_ranges,
     raster_count,
     rtree_exact_join,
     shape_index_exact_join,
 )
-from repro.errors import QueryError
 
 EPSILON = 8.0
+ORACLE = PythonLoopEngine()
 
 
-def assert_join_parity(python_result, vectorized_result):
-    """Aggregates bit-identical, counters equal, engines correctly labelled."""
-    assert python_result.engine == "python"
-    assert vectorized_result.engine == "vectorized"
-    np.testing.assert_array_equal(python_result.aggregates, vectorized_result.aggregates)
-    np.testing.assert_array_equal(python_result.counts, vectorized_result.counts)
-    assert python_result.pip_tests == vectorized_result.pip_tests
-    assert python_result.index_probes == vectorized_result.index_probes
+def act_parity(points, regions, frame, epsilon, query):
+    trie = FlatACT.build(regions, frame, epsilon)
+    kernel = act_approximate_join(points, regions, frame, epsilon=epsilon, query=query, trie=trie)
+    assert_matches_oracle(
+        kernel, points, query,
+        lambda xs, ys, values: ORACLE.probe_act(trie, xs, ys, values, len(regions)),
+    )
+
+
+def rtree_parity(points, regions, query):
+    tree = RStarTree.bulk_load_boxes([region.bounds() for region in regions])
+    kernel = rtree_exact_join(points, regions, query=query)
+    assert_matches_oracle(
+        kernel, points, query,
+        lambda xs, ys, values: ORACLE.probe_rtree(tree, regions, xs, ys, values),
+    )
+
+
+def shape_index_parity(points, regions, frame, query):
+    index = ShapeIndex(regions, frame)
+    kernel = shape_index_exact_join(points, regions, frame, query=query, index=index)
+    assert_matches_oracle(
+        kernel, points, query,
+        lambda xs, ys, values: ORACLE.probe_shape_index(index, regions, xs, ys, values),
+    )
+
+
+def assert_matches_oracle(kernel, points, query, oracle_probe):
+    """Aggregates bit-identical and counters equal to the oracle's probe."""
+    filtered = query.filtered_points(points)
+    outcome = oracle_probe(filtered.xs, filtered.ys, query.values(filtered))
+    np.testing.assert_array_equal(
+        kernel.aggregates, query.finalize(outcome.sums, outcome.counts)
+    )
+    np.testing.assert_array_equal(kernel.counts, outcome.counts)
+    assert kernel.pip_tests == outcome.pip_tests
+    assert kernel.index_probes == outcome.index_probes
 
 
 QUERIES = {
@@ -53,25 +85,13 @@ class TestJoinParityNYC:
     """All three strategies on the NYC-style fixtures, all aggregate kinds."""
 
     def test_act_join(self, taxi_points, neighborhoods, workload, query_name):
-        query = QUERIES[query_name]
-        run = lambda engine: act_approximate_join(
-            taxi_points, neighborhoods, workload.frame(), epsilon=EPSILON, query=query, engine=engine
-        )
-        assert_join_parity(run("python"), run("vectorized"))
+        act_parity(taxi_points, neighborhoods, workload.frame(), EPSILON, QUERIES[query_name])
 
     def test_rtree_join(self, taxi_points, neighborhoods, query_name):
-        query = QUERIES[query_name]
-        run = lambda engine: rtree_exact_join(
-            taxi_points, neighborhoods, query=query, engine=engine
-        )
-        assert_join_parity(run("python"), run("vectorized"))
+        rtree_parity(taxi_points, neighborhoods, QUERIES[query_name])
 
     def test_shape_index_join(self, taxi_points, neighborhoods, workload, query_name):
-        query = QUERIES[query_name]
-        run = lambda engine: shape_index_exact_join(
-            taxi_points, neighborhoods, workload.frame(), query=query, engine=engine
-        )
-        assert_join_parity(run("python"), run("vectorized"))
+        shape_index_parity(taxi_points, neighborhoods, workload.frame(), QUERIES[query_name])
 
 
 class TestJoinParitySynthetic:
@@ -93,45 +113,32 @@ class TestJoinParitySynthetic:
 
     @pytest.fixture(scope="class")
     def points(self, rng):
-        from repro.geometry.point import PointSet
-
         xs = rng.uniform(0.0, 100.0, size=2000)
         ys = rng.uniform(0.0, 100.0, size=2000)
         return PointSet(xs, ys, attributes={"fare": rng.uniform(1.0, 50.0, size=2000)})
 
     def test_all_strategies(self, points, regions, frame):
         query = AggregationQuery(aggregate=Aggregate.SUM, attribute="fare")
-        for run in (
-            lambda engine: act_approximate_join(
-                points, regions, frame, epsilon=2.0, query=query, engine=engine
-            ),
-            lambda engine: rtree_exact_join(points, regions, query=query, engine=engine),
-            lambda engine: shape_index_exact_join(
-                points, regions, frame, query=query, engine=engine
-            ),
-        ):
-            assert_join_parity(run("python"), run("vectorized"))
+        act_parity(points, regions, frame, 2.0, query)
+        rtree_parity(points, regions, query)
+        shape_index_parity(points, regions, frame, query)
 
     def test_empty_point_batch(self, points, regions, frame):
         empty = points.select(np.zeros(len(points), dtype=bool))
-        for engine in ("python", "vectorized"):
-            result = act_approximate_join(empty, regions, frame, epsilon=2.0, engine=engine)
-            assert result.counts.sum() == 0
-            result = rtree_exact_join(empty, regions, engine=engine)
-            assert result.counts.sum() == 0
+        result = act_approximate_join(empty, regions, frame, epsilon=2.0)
+        assert result.counts.sum() == 0
+        result = rtree_exact_join(empty, regions)
+        assert result.counts.sum() == 0
 
     def test_points_outside_all_regions(self, regions, frame):
-        from repro.geometry.point import PointSet
-
         far = PointSet(np.full(10, 99.0), np.full(10, 99.0))
-        for engine in ("python", "vectorized"):
-            result = rtree_exact_join(far, regions, engine=engine)
-            assert result.counts.sum() == 0
-            assert result.pip_tests == 0
+        result = rtree_exact_join(far, regions)
+        assert result.counts.sum() == 0
+        assert result.pip_tests == 0
 
 
 class TestRasterCountParity:
-    """`raster_count` through every code index family, both engines."""
+    """`raster_count` through every code index family, against the oracle."""
 
     @pytest.fixture(scope="class")
     def setup(self):
@@ -152,21 +159,7 @@ class TestRasterCountParity:
         }
         for region in regions:
             for name, index in indexes.items():
-                python = raster_count(region, linearized, index, precision, engine="python")
-                vectorized = raster_count(
-                    region, linearized, index, precision, engine="vectorized"
-                )
-                assert python == vectorized, f"{name} diverged at precision {precision}"
-
-
-class TestEngineResolution:
-    def test_default_is_vectorized(self):
-        assert get_engine(None).name == "vectorized"
-
-    def test_engine_instance_passthrough(self):
-        engine = get_engine("python")
-        assert get_engine(engine) is engine
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(QueryError):
-            get_engine("gpu")
+                ranges = polygon_query_ranges(region, linearized, precision)
+                oracle = ORACLE.count_ranges(index, ranges)
+                kernel = raster_count(region, linearized, index, precision)
+                assert kernel == oracle, f"{name} diverged at precision {precision}"

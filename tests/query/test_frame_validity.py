@@ -4,10 +4,10 @@ The conservativity guarantee of a distance-bounded approximation is that it
 errs only at its boundary cells — false positives within ``epsilon`` of a
 region boundary, never frame-widths away.  ``GridFrame.points_to_codes``
 clamps out-of-frame points onto edge cells, so every probe path has to mask
-with the frame before trusting the codes; these tests lock that in on both
-probe engines, for all index forms, and for every frame edge.  They also
-lock the empty-input behaviour of the probe paths (N = 0 must flow through
-the batch kernels) so future sweeps cannot regress either edge.
+with the frame before trusting the codes; these tests lock that in for all
+index forms, and for every frame edge.  They also lock the empty-input
+behaviour of the probe paths (N = 0 must flow through the batch kernels) so
+future sweeps cannot regress either edge.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from repro.query import (
 )
 from repro.query.containment import LinearizedPoints
 from repro.index.sorted_array import SortedCodeArray
-
-ENGINES = ("python", "vectorized")
 
 
 @pytest.fixture(scope="module")
@@ -64,12 +62,11 @@ OUTSIDE_POINTS = [
 
 
 class TestOutOfFrameProbes:
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_join_counts_zero_for_outside_points(self, frame, edge_polygon, act_index, engine):
+    def test_join_counts_zero_for_outside_points(self, frame, edge_polygon, act_index):
         xs, ys = zip(*OUTSIDE_POINTS)
         points = PointSet(np.array(xs), np.array(ys))
         result = act_approximate_join(
-            points, [edge_polygon], frame, epsilon=1.0, trie=act_index, engine=engine
+            points, [edge_polygon], frame, epsilon=1.0, trie=act_index
         )
         assert result.counts.tolist() == [0]
 
@@ -83,29 +80,27 @@ class TestOutOfFrameProbes:
         assert offsets.tolist() == [0] * (len(OUTSIDE_POINTS) + 1)
         assert pids.size == 0
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_mixed_batch_keeps_inside_matches(self, frame, edge_polygon, act_index, engine):
+    def test_mixed_batch_keeps_inside_matches(self, frame, edge_polygon, act_index):
         """Out-of-frame points are masked without shifting in-frame matches."""
         xs = np.array([6.0, 100.0, 6.5, -1.0])
         ys = np.array([6.0, 100.0, 6.5, 6.0])
         points = PointSet(xs, ys)
         result = act_approximate_join(
-            points, [edge_polygon], frame, epsilon=1.0, trie=act_index, engine=engine
+            points, [edge_polygon], frame, epsilon=1.0, trie=act_index
         )
         assert result.counts.tolist() == [2]
         offsets, pids = act_index.lookup_points_batch(xs, ys)
         assert offsets.tolist() == [0, 1, 1, 2, 2]
         assert pids.tolist() == [0, 0]
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_point_on_max_edge_keeps_matching(self, engine):
+    def test_point_on_max_edge_keeps_matching(self):
         """The frame is closed: a point exactly on the max edge clamps into
         the last cell, which a conservative edge-touching approximation
         covers — it must keep matching."""
         frame = GridFrame(BoundingBox(0.0, 0.0, 8.0, 8.0), margin_fraction=0.0)
         polygon = Polygon([(6.0, 6.0), (8.0, 6.0), (8.0, 8.0), (6.0, 8.0)])
         points = PointSet(np.array([8.0, 8.0]), np.array([8.0, 7.0]))
-        result = act_approximate_join(points, [polygon], frame, epsilon=1.0, engine=engine)
+        result = act_approximate_join(points, [polygon], frame, epsilon=1.0)
         assert result.counts.tolist() == [2]
 
     def test_hr_covers_points_outside_frame(self, frame, edge_polygon):
@@ -145,10 +140,9 @@ class TestEmptyInputs:
         assert offsets.tolist() == [0]
         assert pids.size == 0
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_empty_join(self, frame, edge_polygon, engine):
+    def test_empty_join(self, frame, edge_polygon):
         empty = PointSet(np.empty(0), np.empty(0))
-        result = act_approximate_join(empty, [edge_polygon], frame, epsilon=1.0, engine=engine)
+        result = act_approximate_join(empty, [edge_polygon], frame, epsilon=1.0)
         assert result.counts.tolist() == [0]
         assert result.index_probes == 0
 

@@ -14,7 +14,6 @@ import pytest
 
 from repro.errors import QueryError
 from repro.query import AggregationQuery
-from repro.query.engine import get_engine
 from repro.query.spec import Aggregate
 from repro.serve import QueryServer
 
@@ -135,10 +134,9 @@ class TestLookup:
         server.close()
         assert server.stats.batches == 1
         trie = store_dataset.act_index("neighborhoods", 4.0)
-        engine = get_engine(store_dataset.config.engine)
         for i, response in enumerate(responses):
-            offsets, pids = engine.probe_act_pairs(
-                trie, xs[i * 10 : (i + 1) * 10], ys[i * 10 : (i + 1) * 10]
+            offsets, pids = trie.lookup_points_batch(
+                xs[i * 10 : (i + 1) * 10], ys[i * 10 : (i + 1) * 10]
             )
             np.testing.assert_array_equal(response.result.offsets, offsets)
             np.testing.assert_array_equal(response.result.region_ids, pids)

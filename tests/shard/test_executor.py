@@ -47,11 +47,8 @@ class TestShmTransport:
                 clone = FlatACT.from_state_arrays(attached)
                 xs = np.linspace(10.0, 990.0, 200)
                 ys = np.linspace(990.0, 10.0, 200)
-                from repro.query.engine import get_engine
-
-                engine = get_engine(None)
-                off_a, pid_a = engine.probe_act_pairs(flat, xs, ys)
-                off_b, pid_b = engine.probe_act_pairs(clone, xs, ys)
+                off_a, pid_a = flat.lookup_points_batch(xs, ys)
+                off_b, pid_b = clone.lookup_points_batch(xs, ys)
                 assert np.array_equal(off_a, off_b)
                 assert np.array_equal(pid_a, pid_b)
             finally:

@@ -1,9 +1,9 @@
 """Bit-parity: sharded execution reproduces the unsharded kernels exactly.
 
 The acceptance bar of the scatter-gather layer: for every tested shard
-count, on both probe engines, over static partitions and store-backed
-snapshots, the merged result — float aggregates included — is bit-identical
-to the unsharded kernel.  The suite deliberately includes zero-point shards
+count, over static partitions and store-backed snapshots, the merged
+result — float aggregates included — is bit-identical to the unsharded
+kernel.  The suite deliberately includes zero-point shards
 (all points clustered in one tile) and polygons straddling tile boundaries.
 """
 
@@ -18,7 +18,6 @@ from repro.query.join_mm import act_approximate_join
 from repro.shard import ShardedStore, StaticShards, sharded_act_join
 
 SHARD_COUNTS = (1, 2, 4, 7)
-ENGINES = ("python", "vectorized")
 EPSILON = 8.0
 
 
@@ -29,12 +28,11 @@ def _assert_join_equal(result, reference):
 
 class TestStaticJoinParity:
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    @pytest.mark.parametrize("engine", ENGINES)
     def test_gather_matches_unsharded_kernel(
-        self, frame, taxi_points, neighborhoods, avg_query, shards, engine
+        self, frame, taxi_points, neighborhoods, avg_query, shards
     ):
         reference = act_approximate_join(
-            taxi_points, neighborhoods, frame, epsilon=EPSILON, query=avg_query, engine=engine
+            taxi_points, neighborhoods, frame, epsilon=EPSILON, query=avg_query
         )
         partition = StaticShards.build(taxi_points, frame, shards)
         result = sharded_act_join(
@@ -43,41 +41,38 @@ class TestStaticJoinParity:
             frame,
             epsilon=EPSILON,
             query=avg_query,
-            engine=engine,
         )
         _assert_join_equal(result, reference)
         assert result.extra["shards"] == shards
         assert len(result.extra["shard_seconds"]) == shards
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_zero_point_shards(self, frame, clustered_points, neighborhoods, avg_query, engine):
+    def test_zero_point_shards(self, frame, clustered_points, neighborhoods, avg_query):
         """Clustered points leave most tiles empty; the merge must not care."""
         partition = StaticShards.build(clustered_points, frame, 4)
         assert sum(1 for part in partition.parts if len(part) == 0) >= 3
         reference = act_approximate_join(
-            clustered_points, neighborhoods, frame, epsilon=EPSILON, query=avg_query, engine=engine
+            clustered_points, neighborhoods, frame, epsilon=EPSILON, query=avg_query
         )
         result = sharded_act_join(
             partition.segments(), neighborhoods, frame,
-            epsilon=EPSILON, query=avg_query, engine=engine,
+            epsilon=EPSILON, query=avg_query,
         )
         _assert_join_equal(result, reference)
 
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    @pytest.mark.parametrize("engine", ENGINES)
     def test_straddling_polygons(
-        self, frame, taxi_points, straddling_regions, avg_query, shards, engine
+        self, frame, taxi_points, straddling_regions, avg_query, shards
     ):
         """Regions crossing every tile cut still aggregate bit-identically."""
         reference = act_approximate_join(
             taxi_points, straddling_regions, frame,
-            epsilon=EPSILON, query=avg_query, engine=engine,
+            epsilon=EPSILON, query=avg_query,
         )
         assert reference.counts.sum() > 0  # the polygons actually match points
         partition = StaticShards.build(taxi_points, frame, shards)
         result = sharded_act_join(
             partition.segments(), straddling_regions, frame,
-            epsilon=EPSILON, query=avg_query, engine=engine,
+            epsilon=EPSILON, query=avg_query,
         )
         _assert_join_equal(result, reference)
 
@@ -97,9 +92,8 @@ class TestStaticJoinParity:
 
 class TestStoreParity:
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    @pytest.mark.parametrize("engine", ENGINES)
     def test_interleaved_ingest_matches_unsharded_store(
-        self, frame, store_level, taxi_points, neighborhoods, avg_query, shards, engine
+        self, frame, store_level, taxi_points, neighborhoods, avg_query, shards
     ):
         """Same ingest history → same global ids → bit-equal snapshot joins."""
         from repro.store import SpatialStore
@@ -124,10 +118,10 @@ class TestStoreParity:
                 sharded.flush()
                 plain.flush()
         result = sharded.act_join(
-            neighborhoods, epsilon=EPSILON, query=avg_query, engine=engine
+            neighborhoods, epsilon=EPSILON, query=avg_query
         )
         reference = plain.snapshot().act_join(
-            neighborhoods, epsilon=EPSILON, query=avg_query, engine=engine
+            neighborhoods, epsilon=EPSILON, query=avg_query
         )
         _assert_join_equal(result, reference)
         assert sharded.num_live == plain.num_live
@@ -173,9 +167,8 @@ class TestStoreParity:
 
 class TestFacadeParity:
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    @pytest.mark.parametrize("engine", ENGINES)
     def test_dataset_query_estimate_raster(
-        self, frame, workload, taxi_points, neighborhoods, avg_query, shards, engine
+        self, frame, workload, taxi_points, neighborhoods, avg_query, shards
     ):
         """The planned scatter-gather facade path equals the unsharded facade."""
         base = SpatialDataset(
@@ -186,8 +179,8 @@ class TestFacadeParity:
             taxi_points, frame=frame, extent=workload.extent,
             suites={"hoods": neighborhoods}, shards=shards,
         )
-        r0 = base.query(avg_query, suite="hoods", engine=engine)
-        r1 = ds.query(avg_query, suite="hoods", engine=engine)
+        r0 = base.query(avg_query, suite="hoods")
+        r1 = ds.query(avg_query, suite="hoods")
         assert r1.choice.plan.operator == "scatter_gather"
         assert r1.choice.plan.params["shards"] == shards
         _assert_join_equal(r1.result, r0.result)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.api import IndexRegistry
-from repro.approx.build_engine import PythonBuildEngine, VectorizedBuildEngine
+from repro.index import FlatACT
 from repro.store import SpatialStore
 
 
@@ -30,17 +30,16 @@ def store(frame, store_level, taxi_points):
     return store
 
 
-def _spy_load_act(monkeypatch):
-    """Count every actual ACT index construction, whatever the builder."""
-    calls: list[str] = []
-    for cls in (PythonBuildEngine, VectorizedBuildEngine):
-        original = cls.load_act
+def _spy_index_builds(monkeypatch):
+    """Count every actual ACT index construction."""
+    calls: list = []
+    original = FlatACT.build.__func__
 
-        def wrapper(self, *args, _original=original, **kwargs):
-            calls.append(self.name)
-            return _original(self, *args, **kwargs)
+    def wrapper(cls, regions, *args, **kwargs):
+        calls.append(regions)
+        return original(cls, regions, *args, **kwargs)
 
-        monkeypatch.setattr(cls, "load_act", wrapper)
+    monkeypatch.setattr(FlatACT, "build", classmethod(wrapper))
     return calls
 
 
@@ -49,7 +48,7 @@ class TestSnapshotIndexCache:
         self, store, neighborhoods, monkeypatch
     ):
         """The acceptance bar: N joins over an unchanged store, exactly one build."""
-        builds = _spy_load_act(monkeypatch)
+        builds = _spy_index_builds(monkeypatch)
         results = [
             store.snapshot().act_join(neighborhoods, epsilon=8.0) for _ in range(5)
         ]
@@ -64,8 +63,6 @@ class TestSnapshotIndexCache:
         assert results[1].extra["registry_hit"] is True
 
     def test_prebuilt_trie_bypasses_the_registry(self, store, neighborhoods, frame):
-        from repro.index import FlatACT
-
         trie = FlatACT.build(neighborhoods, frame, epsilon=8.0)
         store.snapshot().act_join(neighborhoods, epsilon=8.0, trie=trie)
         assert store.registry.stats.misses == 0
@@ -81,7 +78,7 @@ class TestSnapshotIndexCache:
         cache (hit-counter regression: the post-flush join is a hit, not a
         rebuild).
         """
-        builds = _spy_load_act(monkeypatch)
+        builds = _spy_index_builds(monkeypatch)
         store.snapshot().act_join(neighborhoods, epsilon=8.0)
         hits_before = store.registry.stats.hits
         store.insert(taxi_points.select(np.arange(50)))
@@ -93,7 +90,7 @@ class TestSnapshotIndexCache:
         assert result.extra["registry_hit"] is True
 
     def test_empty_flush_keeps_the_cache(self, store, neighborhoods, monkeypatch):
-        builds = _spy_load_act(monkeypatch)
+        builds = _spy_index_builds(monkeypatch)
         store.snapshot().act_join(neighborhoods, epsilon=8.0)
         store.flush()  # memtable empty: state unchanged, cache kept
         store.snapshot().act_join(neighborhoods, epsilon=8.0)
@@ -115,7 +112,7 @@ class TestSnapshotIndexCache:
         store.flush()
         store.insert(taxi_points.select(np.arange(half, len(taxi_points))))
         store.flush()
-        builds = _spy_load_act(monkeypatch)
+        builds = _spy_index_builds(monkeypatch)
         before = store.snapshot().act_join(neighborhoods, epsilon=8.0)
         store.compact(full=True)
         after = store.snapshot().act_join(neighborhoods, epsilon=8.0)
@@ -125,8 +122,6 @@ class TestSnapshotIndexCache:
 
     def test_joins_with_registry_match_prebuilt_trie(self, store, neighborhoods, frame):
         """Caching never changes the answer (bit-identical to trie threading)."""
-        from repro.index import FlatACT
-
         trie = FlatACT.build(neighborhoods, frame, epsilon=8.0)
         via_registry = store.snapshot().act_join(neighborhoods, epsilon=8.0)
         via_trie = store.snapshot().act_join(neighborhoods, epsilon=8.0, trie=trie)

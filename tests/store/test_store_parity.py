@@ -3,10 +3,10 @@
 The store's correctness contract: after **any** interleaving of
 insert / delete / flush / compact, every query path answers bit-identically —
 float aggregates included — to a store rebuilt from scratch over the live
-point set, on both probe engines.  The scripted interleavings below drive the
-store through randomised op sequences (seeded, so failures reproduce) and
-check every query path at several points along the way, both against the
-rebuild oracle and against the original single-shot query paths
+point set.  The scripted interleavings below drive the store through
+randomised op sequences (seeded, so failures reproduce) and check every
+query path at several points along the way, both against the rebuild
+oracle and against the original single-shot query paths
 (``act_approximate_join``, ``raster_count``, ``estimate_count_range``) over
 the live point set.
 """
@@ -29,7 +29,6 @@ from repro.query.spec import Aggregate
 from repro.store import SizeTieredCompaction, SpatialStore
 
 EPSILON = 14.0
-ENGINES = ("python", "vectorized")
 
 
 @pytest.fixture(scope="module")
@@ -86,36 +85,31 @@ def _assert_all_paths_match(store, regions, frame, level, act_index):
     sum_query = AggregationQuery(aggregate=Aggregate.SUM, attribute="fare")
     avg_query = AggregationQuery(aggregate=Aggregate.AVG, attribute="passengers")
 
-    for engine in ENGINES:
-        # --- ACT approximate join (counts exact, float sums bit-identical)
-        for query in (count_query, sum_query, avg_query):
-            got = store.act_join(regions, epsilon=EPSILON, query=query,
-                                 trie=act_index, engine=engine)
-            want = oracle.act_join(regions, epsilon=EPSILON, query=query,
-                                   trie=act_index, engine=engine)
-            direct = act_approximate_join(live, regions, frame, epsilon=EPSILON,
-                                          query=query, trie=act_index, engine=engine)
-            np.testing.assert_array_equal(got.counts, want.counts)
-            np.testing.assert_array_equal(got.aggregates, want.aggregates)
-            np.testing.assert_array_equal(got.aggregates, direct.aggregates)
-            assert got.pip_tests == 0
+    # --- ACT approximate join (counts exact, float sums bit-identical)
+    for query in (count_query, sum_query, avg_query):
+        got = store.act_join(regions, epsilon=EPSILON, query=query, trie=act_index)
+        want = oracle.act_join(regions, epsilon=EPSILON, query=query, trie=act_index)
+        direct = act_approximate_join(live, regions, frame, epsilon=EPSILON,
+                                      query=query, trie=act_index)
+        np.testing.assert_array_equal(got.counts, want.counts)
+        np.testing.assert_array_equal(got.aggregates, want.aggregates)
+        np.testing.assert_array_equal(got.aggregates, direct.aggregates)
+        assert got.pip_tests == 0
 
-        # --- raster counts through the code-index path
-        for region in regions[:3]:
-            got_count = store.raster_count(region, 48, engine=engine)
-            want_count = oracle.raster_count(region, 48, engine=engine)
-            direct_count = raster_count(region, lin, lin_index, 48, engine=engine)
-            assert got_count == want_count == direct_count
+    # --- raster counts through the code-index path
+    for region in regions[:3]:
+        got_count = store.raster_count(region, 48)
+        want_count = oracle.raster_count(region, 48)
+        direct_count = raster_count(region, lin, lin_index, 48)
+        assert got_count == want_count == direct_count
 
-        # --- raw range counts
-        lo = int(lin.codes[0]) if lin.size else 0
-        hi = int(lin.codes[-1]) + 1 if lin.size else 1
-        ranges = [(lo, (lo + hi) // 2), ((lo + hi) // 2, hi)]
-        assert store.count_in_ranges(ranges, engine=engine) == oracle.count_in_ranges(
-            ranges, engine=engine
-        )
+    # --- raw range counts
+    lo = int(lin.codes[0]) if lin.size else 0
+    hi = int(lin.codes[-1]) + 1 if lin.size else 1
+    ranges = [(lo, (lo + hi) // 2), ((lo + hi) // 2, hi)]
+    assert store.count_in_ranges(ranges) == oracle.count_in_ranges(ranges)
 
-    # --- result-range estimation (engine-independent)
+    # --- result-range estimation
     for region in regions[:2]:
         got_est = store.estimate_count_range(region, epsilon=30.0)
         want_est = oracle.estimate_count_range(region, epsilon=30.0)
@@ -257,13 +251,11 @@ def test_point_filter_fans_out(pool, regions, frame, store_level, act_index):
         point_filter=lambda pts: pts.attribute("passengers") >= 2,
     )
     live = store.live_points()
-    for engine in ENGINES:
-        got = store.act_join(regions, epsilon=EPSILON, query=query,
-                             trie=act_index, engine=engine)
-        direct = act_approximate_join(live, regions, frame, epsilon=EPSILON,
-                                      query=query, trie=act_index, engine=engine)
-        np.testing.assert_array_equal(got.aggregates, direct.aggregates)
-        np.testing.assert_array_equal(got.counts, direct.counts)
+    got = store.act_join(regions, epsilon=EPSILON, query=query, trie=act_index)
+    direct = act_approximate_join(live, regions, frame, epsilon=EPSILON,
+                                  query=query, trie=act_index)
+    np.testing.assert_array_equal(got.aggregates, direct.aggregates)
+    np.testing.assert_array_equal(got.counts, direct.counts)
 
 
 def test_out_of_frame_points_never_counted(regions, frame, store_level, act_index):
@@ -277,6 +269,5 @@ def test_out_of_frame_points_never_counted(regions, frame, store_level, act_inde
     assert store.num_live == 3
     # Only the single in-frame point can ever be counted.
     assert store.count_in_ranges([(0, 2**60)]) == 1
-    for engine in ENGINES:
-        result = store.act_join(regions, epsilon=EPSILON, trie=act_index, engine=engine)
-        assert result.counts.sum() <= 1
+    result = store.act_join(regions, epsilon=EPSILON, trie=act_index)
+    assert result.counts.sum() <= 1

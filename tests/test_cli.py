@@ -1,9 +1,8 @@
 """Tests for the command-line interface.
 
 Besides per-command smoke runs, the suite verifies end to end that the
-``--engine`` / ``--build-engine`` flags reach the actual kernels: each test
-wraps the corresponding backend method in a recording spy and asserts the
-chosen backend (and only that backend) executed.
+``join`` sweep reaches the exact-join probe kernels: the test wraps them in
+recording spies and asserts both executed.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.query.engine import PythonLoopEngine, VectorizedEngine
 
 
 class TestParser:
@@ -159,11 +157,11 @@ class TestCommands:
                 "store",
                 "--points", "1200", "--regions", "4", "--batches", "4",
                 "--epsilon", "16", "--level", "9", "--memtable-capacity", "200",
-                "--no-compact", "--engine", "python", "--build-engine", "python",
+                "--no-compact",
             ]
         )
         assert code == 0
-        assert "engine=python" in capsys.readouterr().out
+        assert "matches from-scratch rebuild" in capsys.readouterr().out
 
     def test_serve_bench_command(self, capsys):
         code = main(
@@ -209,98 +207,33 @@ class TestCommands:
         assert "skip" in out  # the noop op fingerprint-skipped
         assert "NO" not in out  # rebuild parity held
 
-    def test_suite_command_python_engines(self, capsys):
+    def test_suite_command_scale(self, capsys):
         code = main(
             [
                 "suite",
                 "--points", "800", "--regions", "4", "--epsilon", "16",
                 "--script", "scale:0:0.8",
-                "--engine", "python", "--build-engine", "python",
             ]
         )
         assert code == 0
         assert "1r/0a/0d" in capsys.readouterr().out
 
 
-def _spy(monkeypatch, cls, method, calls, label):
-    original = getattr(cls, method)
-
-    def wrapper(self, *args, **kwargs):
-        calls.append(label)
-        return original(self, *args, **kwargs)
-
-    monkeypatch.setattr(cls, method, wrapper)
-
-
-class TestEngineFlagsReachKernels:
-    """--engine / --build-engine select the kernel that actually executes."""
-
-    JOIN_ARGS = ["join", "--strategy", "act", "--points", "600", "--regions", "4",
-                 "--epsilon", "16"]
-    STORE_ARGS = ["store", "--points", "800", "--regions", "4", "--batches", "2",
-                  "--epsilon", "16", "--level", "9", "--memtable-capacity", "300"]
-
-    @pytest.mark.parametrize("engine", ["python", "vectorized"])
-    def test_join_engine_flag(self, monkeypatch, capsys, engine):
-        calls: list[str] = []
-        _spy(monkeypatch, PythonLoopEngine, "probe_act", calls, "python")
-        _spy(monkeypatch, VectorizedEngine, "probe_act", calls, "vectorized")
-        assert main(self.JOIN_ARGS + ["--engine", engine]) == 0
-        assert set(calls) == {engine}
-
-    @pytest.mark.parametrize("build_engine", ["python", "vectorized", "suite"])
-    def test_join_build_engine_flag(self, monkeypatch, capsys, build_engine):
-        from repro.approx.build_engine import (
-            PythonBuildEngine,
-            SuiteBuildEngine,
-            VectorizedBuildEngine,
-        )
-
-        calls: list[str] = []
-        _spy(monkeypatch, PythonBuildEngine, "load_act", calls, "python")
-        # SuiteBuildEngine inherits load_act from VectorizedBuildEngine, so
-        # spy on the shared method and label by the engine's own name.
-        original = VectorizedBuildEngine.load_act
-
-        def wrapper(self, *args, **kwargs):
-            calls.append(self.name)
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(VectorizedBuildEngine, "load_act", wrapper)
-        assert main(self.JOIN_ARGS + ["--build-engine", build_engine]) == 0
-        assert set(calls) == {build_engine}
-
-    @pytest.mark.parametrize("engine", ["python", "vectorized"])
-    def test_store_engine_flag(self, monkeypatch, capsys, engine):
-        calls: list[str] = []
-        _spy(monkeypatch, PythonLoopEngine, "probe_act_pairs", calls, "python")
-        _spy(monkeypatch, VectorizedEngine, "probe_act_pairs", calls, "vectorized")
-        assert main(self.STORE_ARGS + ["--engine", engine]) == 0
-        assert set(calls) == {engine}
-
-    @pytest.mark.parametrize("build_engine", ["python", "suite"])
-    def test_store_build_engine_flag(self, monkeypatch, capsys, build_engine):
-        from repro.approx.build_engine import PythonBuildEngine, VectorizedBuildEngine
-
-        calls: list[str] = []
-        _spy(monkeypatch, PythonBuildEngine, "load_act", calls, "python")
-        original = VectorizedBuildEngine.load_act
-
-        def wrapper(self, *args, **kwargs):
-            calls.append(self.name)
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(VectorizedBuildEngine, "load_act", wrapper)
-        assert main(self.STORE_ARGS + ["--build-engine", build_engine]) == 0
-        assert set(calls) == {build_engine}
-
+class TestJoinReachesKernels:
     def test_raster_strategies_via_join_all(self, monkeypatch, capsys):
-        """The 'all' sweep drives both engine-aware exact joins too."""
+        """The 'all' sweep drives both exact-join probe kernels too."""
+        import repro.query.join_mm as join_mm
+
         calls: list[str] = []
-        _spy(monkeypatch, VectorizedEngine, "probe_rtree", calls, "rtree")
-        _spy(monkeypatch, VectorizedEngine, "probe_shape_index", calls, "shape-index")
-        assert main(["join", "--points", "400", "--regions", "4", "--epsilon", "16",
-                     "--engine", "vectorized"]) == 0
+        for name, label in (("probe_rtree", "rtree"), ("probe_shape_index", "shape-index")):
+            original = getattr(join_mm, name)
+
+            def wrapper(*args, _original=original, _label=label, **kwargs):
+                calls.append(_label)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(join_mm, name, wrapper)
+        assert main(["join", "--points", "400", "--regions", "4", "--epsilon", "16"]) == 0
         assert {"rtree", "shape-index"} <= set(calls)
 
 
