@@ -40,7 +40,7 @@ import pytest
 
 from repro.api import IndexRegistry
 from repro.bench import append_run_record, is_smoke_run, run_record
-from repro.query import LinearizedPoints, polygon_query_ranges
+from repro.query import level_query_ranges
 from repro.store import SpatialStore
 
 ACT_EPSILON = 32.0 if is_smoke_run() else 8.0
@@ -83,9 +83,8 @@ def act_index(stream_regions, frame, registry):
 @pytest.fixture(scope="module")
 def count_ranges_queries(stream_regions, frame):
     """Fixed key-range decompositions of a few query polygons."""
-    lin = LinearizedPoints(frame=frame, level=STORE_LEVEL, codes=np.empty(0, dtype=np.uint64))
     return [
-        polygon_query_ranges(region, lin, cells_per_polygon=64)
+        level_query_ranges(region, frame, STORE_LEVEL, cells_per_polygon=64)
         for region in stream_regions[:4]
     ]
 

@@ -208,8 +208,9 @@ class SpatialDataset:
         store-backed dataset, the store's registry, so flush / compaction
         invalidation reaches queries made through the facade.
     level:
-        Linearization level of the point-side code index backing
-        :meth:`raster_count` on a static source.
+        Linearization level of a static source's cached points: the code
+        index backing :meth:`raster_count` and the cell runs the ACT probe
+        walks (for every epsilon whose index is no finer than this level).
     shards:
         Partition a **static** source into this many rectangular tiles and
         let the planner emit scatter-gather plans over them (exact merge,
@@ -642,10 +643,17 @@ class SpatialDataset:
         config: EngineConfig,
         gpu,
     ) -> PlanContext:
-        """Execution context with the registry's prebuilt index plugged in."""
+        """Execution context with the registry's prebuilt index plugged in.
+
+        An unsharded static source's ACT query also gets the dataset's cached
+        point linearization when it can walk it: no ``point_filter`` (the
+        cache holds every point) and a level no coarser than the index's
+        ``max_level``.  Otherwise the kernel linearizes per call.
+        """
         regions = list(target.regions)
         trie = None
         shape_index = None
+        linearized = None
         if strategy == "act":
             trie = self.registry.act_index(
                 regions,
@@ -653,6 +661,13 @@ class SpatialDataset:
                 epsilon=float(spec.epsilon),
                 fingerprint=target.fingerprint,
             )
+            if (
+                self._store is None
+                and self.shards is None
+                and spec.point_filter is None
+                and self.level >= trie.max_level
+            ):
+                linearized = self._linearization()
         elif strategy == "shape-index":
             shape_index = self.registry.shape_index(
                 regions,
@@ -668,6 +683,8 @@ class SpatialDataset:
             trie=trie,
             shape_index=shape_index,
             gpu=gpu,
+            linearized=linearized,
+            level=self.level,
             shards=self._shard_state(),
             executor=config.workers,
         )
@@ -739,13 +756,7 @@ class SpatialDataset:
         if self.shards is not None and self._store is None:
             # Static sharded source: no global code index — each shard keeps
             # its own sorted code array (built on the global frame at the
-            # dataset's level) and the integer partials sum exactly.  The
-            # empty linearization only carries the level to the fan-out.
-            from repro.query.containment import LinearizedPoints
-
-            context.linearized = LinearizedPoints(
-                frame=self.frame, level=self.level, codes=np.empty(0, dtype=np.uint64)
-            )
+            # context's level) and the integer partials sum exactly.
             plan = scatter_gather_plan(
                 raster_count_plan(cells_per_polygon, conservative=conservative),
                 self.shards,
@@ -768,15 +779,29 @@ class SpatialDataset:
             )
         return run_plan(raster_count_plan(cells_per_polygon, conservative=conservative), context)
 
-    def _point_index(self):
-        """Cached (LinearizedPoints, SortedCodeArray) of a static source."""
+    def _linearization(self):
+        """The cached point linearization of a static source, pyramid filled.
+
+        Built on first use from one sort of the points; every coarser level's
+        cell runs are derived up front, so concurrent queries only read it.
+        It lives on the dataset, not in the registry: it is point-side state
+        of this source, not a polygon index.
+        """
         if self._linearized is None:
-            from repro.index.sorted_array import SortedCodeArray
             from repro.query.containment import LinearizedPoints
 
-            self._linearized = LinearizedPoints.build(self._points, self.frame, self.level)
-            self._code_index = SortedCodeArray(self._linearized.codes, assume_sorted=True)
-        return self._linearized, self._code_index
+            self._linearized = LinearizedPoints.build(
+                self._points, self.frame, self.level
+            ).fill_pyramid()
+        return self._linearized
+
+    def _point_index(self):
+        """Cached (LinearizedPoints, SortedCodeArray) of a static source."""
+        if self._code_index is None:
+            from repro.index.sorted_array import SortedCodeArray
+
+            self._code_index = SortedCodeArray(self._linearization().codes, assume_sorted=True)
+        return self._linearization(), self._code_index
 
     # ------------------------------------------------------------------ #
     # serving

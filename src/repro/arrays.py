@@ -8,17 +8,32 @@ bit-identical-aggregation guarantee depends on every polygon receiving its
 float additions in ascending point order.  Centralising the assembly here
 keeps the probe paths from drifting apart.
 
-This module imports nothing from ``repro`` (it is an import leaf), so the
-geometry, grid and approximation kernels can import it at module top even
-though ``repro.index`` itself depends on them.  ``repro.index.csr``
-re-exports the same three names.
+This module imports nothing from ``repro`` but its exception hierarchy (it
+is an import leaf), so the geometry, grid and approximation kernels can
+import it at module top even though ``repro.index`` itself depends on them.
+``repro.index.csr`` re-exports the CSR and membership names.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["expand_slices", "csr_from_chunks", "isin_sorted"]
+from repro.errors import IndexError_
+
+__all__ = ["expand_slices", "csr_from_chunks", "isin_sorted", "match_sorted"]
+
+
+def _same_dtype(a: np.ndarray, b: np.ndarray) -> None:
+    """Refuse a mixed-dtype search: NumPy would compare in a promoted type.
+
+    ``uint64`` against ``int64`` promotes both to ``float64``, which cannot
+    tell codes above 2**53 apart, so the search would land on wrong
+    positions without any error.
+    """
+    if a.dtype != b.dtype:
+        raise IndexError_(
+            f"sorted search needs one dtype on both sides, got {a.dtype} and {b.dtype}"
+        )
 
 
 def isin_sorted(
@@ -30,14 +45,35 @@ def isin_sorted(
     the shared membership kernel of the batch probe paths.  With
     ``return_positions`` the landing positions are returned alongside the
     mask so callers that need them (CSR postings lookups) avoid a second
-    binary-search pass.
+    binary-search pass.  Both arrays must share a dtype
+    (:class:`~repro.errors.IndexError_` otherwise).
     """
+    _same_dtype(sorted_keys, values)
     pos = np.searchsorted(sorted_keys, values)
     hit = pos < sorted_keys.shape[0]
     hit[hit] = sorted_keys[pos[hit]] == values[hit]
     if return_positions:
         return hit, pos
     return hit
+
+
+def match_sorted(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions ``(ia, ib)`` of the values two sorted unique arrays share.
+
+    ``a[ia] == b[ib]``, both ascending.  The shorter array is searched into
+    the longer one — the cheap side of a sorted-set intersection
+    (Baeza-Yates, CPM 2004) — so the cost follows the smaller input, and
+    the positions come back in ``(a, b)`` order whichever side was
+    searched.  Both arrays must share a dtype
+    (:class:`~repro.errors.IndexError_` otherwise).
+    """
+    if a.shape[0] <= b.shape[0]:
+        hit, pos = isin_sorted(b, a, return_positions=True)
+        ia = np.flatnonzero(hit)
+        return ia, pos[ia]
+    hit, pos = isin_sorted(a, b, return_positions=True)
+    ib = np.flatnonzero(hit)
+    return pos[ib], ib
 
 
 def expand_slices(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

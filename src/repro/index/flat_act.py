@@ -11,13 +11,23 @@ provides the batch-probe representation: the trie is flattened **once** into
   array), so a cell that several distance-bounded approximations share maps to
   all of its polygon ids.
 
-A batch lookup then encodes all probe points at the finest level with
-:meth:`repro.curves.cellid.CellId.encode_points`, deduplicates and sorts the
-codes, and resolves every stored level with one ``searchsorted`` of that
-level's *distinct* prefixes (:meth:`FlatACT.lookup_codes`) — the trie walk of
-§3 becomes a merge of two sorted key sets in a handful of vectorised array
-passes with **no Python work per point**, which is what the paper's "no exact
-geometric test is needed" speed argument requires of the hot path.
+A batch lookup walks a *linearization* of the probe points
+(:class:`~repro.index.linearized.LinearizedPoints`): their finest-level
+Morton codes sorted once, the distinct cells, and for every coarser level the
+distinct prefixes with the run of fine cells each one owns (a right shift
+keeps Morton order).  Every populated level of the index is matched against
+that level's prefixes by searching the shorter sorted array into the longer
+one (:meth:`FlatACT.lookup_linearized`) — the trie walk of §3 becomes a
+merge of two sorted key sets in a handful of vectorised array passes with
+**no Python work per point**, which is what the paper's "no exact geometric
+test is needed" speed argument requires of the hot path.  A COUNT needs not
+even the per-point pairs: a matched prefix contributes the difference of two
+offsets into the sorted codes (:meth:`FlatACT.count_linearized`).
+
+:meth:`FlatACT.lookup_points` / :meth:`FlatACT.lookup_codes` linearize their
+input per call and keep nothing between calls; a static
+:class:`~repro.api.SpatialDataset` keeps one linearization of its points and
+hands it to every ACT query it can serve.
 
 Live polygon suites
 -------------------
@@ -52,8 +62,9 @@ import itertools
 
 import numpy as np
 
-from repro.arrays import csr_from_chunks, expand_slices, isin_sorted
+from repro.arrays import csr_from_chunks, expand_slices, match_sorted
 from repro.errors import IndexError_
+from repro.index.linearized import LinearizedPoints
 
 __all__ = ["FlatACT", "concat_cell_arrays"]
 
@@ -744,63 +755,52 @@ class FlatACT:
             coarse-to-fine exactly like the scalar trie walk, ascending
             polygon id within one level.
 
-        The probe resolves **distinct cells, not points**.  Points and cells
-        live on one Morton curve, so the codes are deduplicated and sorted
-        once (``np.unique``) and the populated levels are walked finest to
-        coarsest: a right shift keeps Morton order, so each level's prefixes
-        are deduplicated by comparing neighbours, every ``searchsorted`` sees
-        a short *sorted* needle array, and a coarse cell owns a contiguous
-        run of the fine cells.  A level's matches are resolved per distinct
-        prefix — across the base and every delta segment, slots mapped to
-        dense ids, tombstones dropped, ``lexsort`` by ``(cell, dense id)``
-        when the index is not consolidated — and expanded over that run.
-
-        The matches of the distinct fine cells are assembled coarse-to-fine
-        into a small cell-major CSR, and each point gathers its cell's list
-        through the inverse map of the deduplication, which puts the pairs
-        back in the caller's point order.  A point sees exactly one cell per
-        level and a fresh build lists a cell's postings in ascending polygon
-        id, so the arrays are bit-identical to a per-point, per-level probe
-        of a from-scratch build.  Nothing is kept between calls.
+        A thin wrapper: the codes are linearized on the spot
+        (:meth:`LinearizedPoints.from_codes`, one sort) and the walk is
+        :meth:`lookup_linearized`'s.  The transient linearization is
+        dropped on return, so this path keeps nothing between calls.
         """
-        codes = np.asarray(codes, dtype=np.uint64).reshape(-1)
-        n = codes.shape[0]
+        return self.lookup_linearized(LinearizedPoints.from_codes(codes, self.max_level))
+
+    def _check_linearized(self, linearized: LinearizedPoints) -> None:
+        frame = linearized.frame
+        if frame is not None and (frame.origin_x, frame.origin_y, frame.size) != (
+            self.frame.origin_x, self.frame.origin_y, self.frame.size
+        ):
+            raise IndexError_("the linearization and the index use different grid frames")
+        if linearized.level < self.max_level:
+            raise IndexError_(
+                f"a level-{linearized.level} linearization cannot probe an index "
+                f"of max level {self.max_level}"
+            )
+
+    def _level_matches(self, linearized: LinearizedPoints, ordered: bool = True):
+        """The level walk: ``(first, owners, ids)`` per populated level, fine to coarse.
+
+        ``owners`` index the level's prefixes in ``linearized.runs(level)``
+        (whose fine-cell runs ``first`` delimits) and ``ids`` are the dense
+        polygon ids matched there, tombstones dropped.  Each level matches
+        its keys against the prefixes with :func:`match_sorted`, which
+        searches the shorter sorted array into the longer one, across the
+        base and every delta segment.  With ``ordered`` the pairs of a
+        not-consolidated index are sorted by ``(owner, dense id)`` — the
+        order a fresh build lists them in (a consolidated index already
+        yields them that way); counting needs no order.
+        """
+        self._check_linearized(linearized)
         by_level: dict[int, list] = {}
         for segment in [self._levels, *self._deltas]:
             for level, keys, offsets, pids in segment:
                 by_level.setdefault(level, []).append((keys, offsets, pids))
-        if n == 0 or not by_level:
-            return np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
-
-        cells, inverse = np.unique(codes, return_inverse=True)
-        # NumPy 2.0-2.2 shaped the inverse like the input, not like a vector.
-        inverse = inverse.reshape(-1)
-        num_cells = cells.shape[0]
         dense_of_slot = self._dense_of_slot
-
-        # ``prefixes`` are the distinct cells of the level being probed and
-        # ``first[i]:first[i + 1]`` is the run of fine cells under prefix i.
-        prefixes = cells
-        first = np.arange(num_cells + 1, dtype=np.int64)
-        at_level = self.max_level
-        cell_chunks: list[np.ndarray] = []
-        id_chunks: list[np.ndarray] = []
         for level in sorted(by_level, reverse=True):
-            shifted = prefixes >> np.uint64(2 * (at_level - level))
-            at_level = level
-            boundary = np.ones(shifted.shape[0], dtype=bool)
-            boundary[1:] = shifted[1:] != shifted[:-1]
-            prefixes = shifted[boundary]
-            first = np.append(first[:-1][boundary], num_cells)
-
+            prefixes, first = linearized.runs(level)
             owner_parts: list[np.ndarray] = []
             id_parts: list[np.ndarray] = []
             for keys, offsets, pids in by_level[level]:
-                hit, pos = isin_sorted(keys, prefixes, return_positions=True)
-                owners = np.flatnonzero(hit)
+                owners, hit_pos = match_sorted(prefixes, keys)
                 if owners.shape[0] == 0:
                     continue
-                hit_pos = pos[owners]
                 starts = offsets[hit_pos]
                 counts = offsets[hit_pos + 1] - starts
                 ids = pids[expand_slices(starts, counts)]
@@ -815,24 +815,74 @@ class FlatACT:
                 continue
             owners = np.concatenate(owner_parts)
             ids = np.concatenate(id_parts)
-            if dense_of_slot is not None:
+            if ordered and dense_of_slot is not None:
                 # Segments and superseded slots interleave dense ids; a fresh
                 # build lists every cell's postings ascending.
                 order = np.lexsort((ids, owners))
                 owners, ids = owners[order], ids[order]
+            yield first, owners, ids
+
+    def lookup_linearized(self, linearized: LinearizedPoints) -> tuple[np.ndarray, np.ndarray]:
+        """CSR matches ``(offsets, polygon_ids)`` of a linearization's points.
+
+        One entry per input point of ``linearized`` (out-of-frame points
+        match nothing), in the :meth:`lookup_codes` order.  The
+        linearization's level must be at least :attr:`max_level`; a finer
+        one is walked through its run pyramid, since a level-``l`` prefix of
+        a finer code is the point's level-``l`` cell.
+
+        The probe resolves **distinct cells, not points**.  Points and cells
+        live on one Morton curve, so a coarse cell owns a contiguous run of
+        the sorted fine cells: every populated level is matched per distinct
+        prefix (:meth:`_level_matches`) and each match is expanded over that
+        prefix's run.  The matches of the fine cells are assembled
+        coarse-to-fine into a small cell-major CSR, and each point gathers
+        its cell's list through the linearization's point → cell map, which
+        puts the pairs back in point order.  A point sees exactly one cell
+        per level and a fresh build lists a cell's postings in ascending
+        polygon id, so the arrays are bit-identical to a per-point,
+        per-level probe of a from-scratch build.
+        """
+        num_cells = linearized.num_cells
+        cell_chunks: list[np.ndarray] = []
+        id_chunks: list[np.ndarray] = []
+        for first, owners, ids in self._level_matches(linearized):
             runs = first[owners + 1] - first[owners]
             cell_chunks.append(expand_slices(first[owners], runs))
             id_chunks.append(np.repeat(ids, runs))
-
         # The walk ran fine to coarse; the stable CSR assembly keeps chunk
         # order within a cell, so reversing yields coarse-to-fine.
         cell_offsets, cell_ids = csr_from_chunks(
             cell_chunks[::-1], id_chunks[::-1], num_cells
         )
-        counts = np.diff(cell_offsets)[inverse]
-        offsets = np.zeros(n + 1, dtype=np.int64)
+        point_cell = linearized.point_cell
+        # Cell -1 (out of frame) reads the appended zero count.
+        counts = np.append(np.diff(cell_offsets), 0)[point_cell]
+        offsets = np.zeros(point_cell.shape[0] + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
-        return offsets, cell_ids[expand_slices(cell_offsets[inverse], counts)]
+        return offsets, cell_ids[expand_slices(cell_offsets[point_cell], counts)]
+
+    def count_linearized(self, linearized: LinearizedPoints, num_polygons: int) -> np.ndarray:
+        """Per-polygon point counts of a linearization, from run offsets alone.
+
+        A prefix ``o`` of level ``l`` covers fine cells
+        ``first[o]:first[o + 1]`` and therefore
+        ``cum[first[o + 1]] - cum[first[o]]`` points, so every matched
+        ``(prefix, polygon)`` pair of the walk adds that difference to the
+        polygon — no per-point pair is built.  Integer sums, so equal to
+        counting the :meth:`lookup_linearized` pairs (bit for bit, in any
+        order).
+        """
+        cum = linearized.cum
+        id_chunks: list[np.ndarray] = []
+        run_chunks: list[np.ndarray] = []
+        for first, owners, ids in self._level_matches(linearized, ordered=False):
+            id_chunks.append(ids)
+            run_chunks.append(cum[first[owners + 1]] - cum[first[owners]])
+        counts = np.zeros(num_polygons, dtype=np.int64)
+        if id_chunks:
+            np.add.at(counts, np.concatenate(id_chunks), np.concatenate(run_chunks))
+        return counts
 
     def lookup_point(self, x: float, y: float) -> list[int]:
         """Matches of a single point, coarse-to-fine (thin scalar path).
@@ -876,28 +926,17 @@ class FlatACT:
     def lookup_points(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """CSR matches ``(offsets, polygon_ids)`` for many probe points.
 
-        Points outside the :class:`~repro.grid.uniform_grid.GridFrame` get
-        empty match lists: ``points_to_codes`` clamps them onto edge cells,
-        and counting those clamped codes would report far-away points as
-        inside edge-adjacent polygons — a false positive the distance bound
-        does not allow.  Points exactly on the frame's max edge are in the
-        frame and keep matching.
+        A thin wrapper over :meth:`lookup_linearized` with a transient
+        linearization at :attr:`max_level`.  Points outside the
+        :class:`~repro.grid.uniform_grid.GridFrame` get empty match lists:
+        ``points_to_codes`` clamps them onto edge cells, and counting those
+        clamped codes would report far-away points as inside edge-adjacent
+        polygons — a false positive the distance bound does not allow.
+        Points exactly on the frame's max edge are in the frame and keep
+        matching.
         """
-        xs = np.asarray(xs, dtype=np.float64)
-        ys = np.asarray(ys, dtype=np.float64)
-        if xs.shape != ys.shape:
-            raise IndexError_("xs and ys must have the same shape")
-        valid = self.frame.contains_points(xs, ys)
-        if valid.all():
-            codes = self.frame.points_to_codes(xs, ys, self.max_level)
-            return self.lookup_codes(codes)
-        codes = self.frame.points_to_codes(xs[valid], ys[valid], self.max_level)
-        valid_offsets, polygon_ids = self.lookup_codes(codes)
-        counts = np.zeros(xs.shape[0], dtype=np.int64)
-        counts[valid] = np.diff(valid_offsets)
-        offsets = np.zeros(xs.shape[0] + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        return offsets, polygon_ids
+        linearized = LinearizedPoints.from_coords(self.frame, self.max_level, xs, ys)
+        return self.lookup_linearized(linearized)
 
     def lookup_points_batch(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Alias of :meth:`lookup_points`, mirroring the trie's batch API.

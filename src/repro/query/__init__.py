@@ -10,6 +10,7 @@ from repro.query.accuracy import (
 from repro.query.containment import (
     LinearizedPoints,
     exact_count,
+    level_query_ranges,
     mbr_filter_count,
     polygon_query_ranges,
     raster_count,
@@ -82,6 +83,7 @@ __all__ = [
     "mbr_filter_count",
     "median_relative_error",
     "polygon_query_ranges",
+    "level_query_ranges",
     "precision_recall",
     "range_estimate_plan",
     "raster_aggregation_plan",

@@ -14,62 +14,30 @@ this query polygon":
   This is what the classic filtering step produces before refinement; the
   count over-estimates the exact result and carries no distance guarantee.
 
-:class:`LinearizedPoints` bundles the linearization (frame + level + sorted
-codes) so that several code indexes can be built over the same key array.
+:class:`~repro.index.linearized.LinearizedPoints` bundles the linearization
+(frame + level + sorted codes, plus the cell runs the ACT probe walks) so
+that several code indexes can be built over the same key array; it is
+re-exported here.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-
-import numpy as np
 
 from repro.approx.hierarchical_raster import HierarchicalRasterApproximation
 from repro.geometry.point import PointSet
 from repro.geometry.polygon import MultiPolygon, Polygon
 from repro.grid.uniform_grid import GridFrame
 from repro.index.base import CodeIndex, SpatialPointIndex
+from repro.index.linearized import LinearizedPoints
 from repro.query.engine import count_ranges
 
 __all__ = [
     "LinearizedPoints",
     "polygon_query_ranges",
+    "level_query_ranges",
     "raster_count",
     "mbr_filter_count",
     "exact_count",
 ]
-
-
-@dataclass(frozen=True)
-class LinearizedPoints:
-    """Points mapped to sorted 1D cell codes at a fixed grid level."""
-
-    frame: GridFrame
-    level: int
-    codes: np.ndarray  # sorted, uint64
-
-    @classmethod
-    def build(cls, points: PointSet, frame: GridFrame, level: int) -> "LinearizedPoints":
-        """Linearize ``points`` on ``frame`` at ``level`` and sort the codes.
-
-        Points outside the frame are dropped rather than linearized:
-        ``points_to_codes`` clamps them onto edge cells, and a clamped code
-        that lands inside a query polygon's key range would be counted by
-        :func:`raster_count` as a false positive far beyond the distance
-        bound.  Dropping them is exact — an out-of-frame point cannot lie in
-        any region the frame covers.
-        """
-        in_frame = frame.contains_points(points.xs, points.ys)
-        xs, ys = points.xs, points.ys
-        if not in_frame.all():
-            xs = xs[in_frame]
-            ys = ys[in_frame]
-        codes = frame.points_to_codes(xs, ys, level)
-        return cls(frame=frame, level=level, codes=np.sort(codes))
-
-    @property
-    def size(self) -> int:
-        return int(self.codes.shape[0])
 
 
 def polygon_query_ranges(
@@ -82,14 +50,32 @@ def polygon_query_ranges(
 
     ``cells_per_polygon`` is the paper's precision knob (32 / 128 / 512 cells).
     """
+    return level_query_ranges(
+        region, linearized.frame, linearized.level, cells_per_polygon, conservative
+    )
+
+
+def level_query_ranges(
+    region: Polygon | MultiPolygon,
+    frame: GridFrame,
+    level: int,
+    cells_per_polygon: int,
+    conservative: bool = True,
+) -> list[tuple[int, int]]:
+    """:func:`polygon_query_ranges` for code indexes on ``frame`` at ``level``.
+
+    The form for callers that count over several code arrays at one level
+    (the per-shard arrays of a static partition, the runs of a store) and
+    hold no single linearization.
+    """
     approx = HierarchicalRasterApproximation.from_cell_budget(
         region,
-        linearized.frame,
+        frame,
         max_cells=cells_per_polygon,
         conservative=conservative,
-        max_level=linearized.level,
+        max_level=level,
     )
-    return approx.query_ranges(linearized.level)
+    return approx.query_ranges(level)
 
 
 def raster_count(

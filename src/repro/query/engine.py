@@ -3,10 +3,13 @@
 Every query strategy in this library boils down to the same probe phase —
 "for each point, which indexed regions match?" followed by a fused
 aggregation.  The functions here run that phase for all points at once
-through the batch index APIs (:meth:`FlatACT.lookup_points`,
+through the batch index APIs (:meth:`FlatACT.lookup_linearized`,
 :meth:`RStarTree.query_points`, :meth:`ShapeIndex.query_points`,
 :meth:`CodeIndex.count_ranges_batch`) and fuse the aggregation over the CSR
-match lists with ``np.add.at`` / ``np.bincount``.
+match lists with ``np.add.at`` / ``np.bincount``.  An ACT COUNT scatters no
+per-point ones: it adds, per matched ``(cell prefix, polygon)`` pair, the
+prefix's point count read off the linearization's run offsets
+(:meth:`FlatACT.count_linearized`) — integer sums, equal in any order.
 
 The per-point index-nested loops these kernels replaced are kept as the test
 oracle (``tests/oracles/probe_loop.py``), and the kernels reproduce its
@@ -24,6 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from repro.errors import QueryError
+from repro.index.linearized import LinearizedPoints
 
 __all__ = [
     "ProbeOutcome",
@@ -45,16 +51,38 @@ class ProbeOutcome:
     extra: dict = field(default_factory=dict)
 
 
-def probe_act(trie, xs, ys, values, num_regions) -> ProbeOutcome:
+def probe_act(trie, xs, ys, values, num_regions, linearized=None) -> ProbeOutcome:
     """Approximate probe of the ACT index (no PIP tests).
 
     ``trie`` is either the pointer :class:`~repro.index.act.AdaptiveCellTrie`
-    or a bulk-loaded :class:`~repro.index.flat_act.FlatACT` — both expose
-    ``lookup_points_batch``.  ``xs``/``ys``/``values`` are equal-length
-    arrays of the (already filtered) probe points and their aggregation
-    values; ``num_regions`` sizes the output groups.
+    or a bulk-loaded :class:`~repro.index.flat_act.FlatACT`; the walk runs
+    on its flat form.  ``xs``/``ys``/``values`` are equal-length arrays of
+    the (already filtered) probe points and their aggregation values;
+    ``values=None`` asks for COUNT only, which is read off run offsets
+    without building per-point pairs.  ``num_regions`` sizes the output
+    groups.
+
+    ``linearized`` is a prebuilt :class:`LinearizedPoints` of exactly these
+    points (a static dataset's cached one); without it the points are
+    linearized at the index's ``max_level`` for this call.  One with a
+    different point count is refused with :class:`~repro.errors.QueryError`,
+    one with a coarser level or another frame by the index
+    (:class:`~repro.errors.IndexError_`).
     """
-    offsets, polygon_ids = trie.lookup_points_batch(xs, ys)
+    flat = trie.flattened()
+    if linearized is None:
+        linearized = LinearizedPoints.from_coords(flat.frame, flat.max_level, xs, ys)
+    elif linearized.num_points != xs.shape[0]:
+        raise QueryError(
+            f"the linearization holds {linearized.num_points} points, the probe "
+            f"{xs.shape[0]}"
+        )
+    if values is None:
+        counts = flat.count_linearized(linearized, num_regions)
+        return ProbeOutcome(
+            sums=counts.astype(np.float64), counts=counts, index_probes=int(xs.shape[0])
+        )
+    offsets, polygon_ids = flat.lookup_linearized(linearized)
     point_idx = np.repeat(np.arange(xs.shape[0], dtype=np.int64), np.diff(offsets))
     sums = np.zeros(num_regions, dtype=np.float64)
     # Unbuffered scatter-add in point-major order: bitwise identical to the

@@ -44,11 +44,12 @@ from repro.geometry.polygon import MultiPolygon, Polygon
 from repro.grid.uniform_grid import GridFrame
 from repro.index.act import AdaptiveCellTrie
 from repro.index.flat_act import FlatACT
+from repro.index.linearized import LinearizedPoints
 from repro.index.rstar import RStarTree
 from repro.index.shape_index import ShapeIndex
 from repro.obs import trace
 from repro.query.engine import probe_act, probe_rtree, probe_shape_index
-from repro.query.spec import AggregationQuery
+from repro.query.spec import Aggregate, AggregationQuery
 
 __all__ = ["JoinResult", "act_approximate_join", "rtree_exact_join", "shape_index_exact_join"]
 
@@ -92,6 +93,7 @@ def act_approximate_join(
     epsilon: float = 4.0,
     query: AggregationQuery | None = None,
     trie: "AdaptiveCellTrie | FlatACT | None" = None,
+    linearized: "LinearizedPoints | None" = None,
 ) -> JoinResult:
     """Approximate index-nested-loop join using the Adaptive Cell Trie.
 
@@ -105,6 +107,13 @@ def act_approximate_join(
     :class:`~repro.index.flat_act.FlatACT` from their approximations' cell
     arrays.  ``trie`` accepts either index form; the probe treats them
     identically.
+
+    ``linearized`` is a prebuilt :class:`LinearizedPoints` of the probed
+    (filtered) points at a level of at least the index's ``max_level`` — a
+    static dataset passes its cached one; without it the probe linearizes
+    the points for this call.  A COUNT is read off the linearization's run
+    offsets; SUM and AVG scatter per-point pairs.  Either way the answer is
+    the same, bit for bit.
     """
     query = query or AggregationQuery()
     filtered, values = _prepare(points, query)
@@ -121,8 +130,22 @@ def act_approximate_join(
             index_memory += flat.memory_bytes()
     build_seconds = build_span.seconds
 
-    with trace.timed("join.probe", kernel="act", points=len(filtered)) as probe_span:
-        outcome = probe_act(trie, filtered.xs, filtered.ys, values, len(regions))
+    count_only = query.aggregate is Aggregate.COUNT
+    with trace.timed(
+        "join.probe",
+        kernel="act",
+        points=len(filtered),
+        linearization="per-call" if linearized is None else "cached",
+        count="runs" if count_only else "pairs",
+    ) as probe_span:
+        outcome = probe_act(
+            trie,
+            filtered.xs,
+            filtered.ys,
+            None if count_only else values,
+            len(regions),
+            linearized=linearized,
+        )
     probe_seconds = probe_span.seconds
 
     return JoinResult(

@@ -111,9 +111,14 @@ class PlanContext:
     shape_index: Any = None
     #: Simulated device for the canvas plans.
     gpu: Any = None
-    #: Prebuilt LinearizedPoints + CodeIndex for raster-count plans.
+    #: Prebuilt LinearizedPoints of the (filtered) points: the key array of
+    #: raster-count plans and the cell runs act plans walk.
     linearized: Any = None
+    #: Prebuilt CodeIndex over ``linearized.codes`` for raster-count plans.
     code_index: Any = None
+    #: Point linearization level of raster-count plans built on the fly
+    #: (a prebuilt ``linearized`` brings its own).
+    level: int = 12
     #: Sharded execution state for scatter_gather plans: a
     #: :class:`~repro.shard.partition.StaticShards` (static datasets) or a
     #: :class:`~repro.shard.store.ShardedSnapshot` (sharded stores).
@@ -262,6 +267,7 @@ def _run_plan_root(plan: PlanNode, context: PlanContext):
             epsilon=float(plan.params["epsilon"]),
             query=context.query,
             trie=context.trie,
+            linearized=context.linearized,
         )
     if root == "rtree_aggregate":
         from repro.query.join_mm import rtree_exact_join
@@ -285,7 +291,9 @@ def _run_plan_root(plan: PlanNode, context: PlanContext):
         linearized = context.linearized
         if linearized is None:
             linearized = LinearizedPoints.build(
-                context.query.filtered_points(context.points), _require_frame(context), 12
+                context.query.filtered_points(context.points),
+                _require_frame(context),
+                context.level,
             )
         index = context.code_index
         if index is None:
@@ -376,20 +384,18 @@ def _run_scatter_gather(plan: PlanNode, context: PlanContext):
                 ],
                 dtype=np.int64,
             )
-        from repro.query.containment import LinearizedPoints, polygon_query_ranges
+        from repro.query.containment import level_query_ranges
         from repro.shard.gather import sharded_count_ranges
 
         frame = _require_frame(context)
-        level = context.linearized.level if context.linearized is not None else 12
-        indexes = _static_shard_indexes(shards, context, frame, level)
+        indexes = _static_shard_indexes(shards, context, frame, context.level)
         # One range decomposition per region (identical to the unsharded
         # plan's); every shard counts against the same key ranges.
-        empty = LinearizedPoints(frame=frame, level=level, codes=np.empty(0, dtype=np.uint64))
         return np.array(
             [
                 sharded_count_ranges(
                     indexes,
-                    polygon_query_ranges(region, empty, cells, conservative),
+                    level_query_ranges(region, frame, context.level, cells, conservative),
                 )
                 for region in context.regions
             ],

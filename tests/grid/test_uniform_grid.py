@@ -113,3 +113,45 @@ class TestGridFrame:
         cell = small_frame.point_to_cell(50.0, 50.0, 5)
         cx, cy = small_frame.cell_center(cell)
         assert small_frame.cell_box(cell).contains_xy(cx, cy)
+
+
+@st.composite
+def frames_and_points(draw):
+    """A raw frame (non-power-of-two size, possibly negative origin) and points
+    on it: uniform interior points, points on the max edges, cell-aligned
+    coordinates at a random level, and a few points clamped from outside."""
+    origin_x = draw(st.floats(-1e4, 1e4, allow_nan=False))
+    origin_y = draw(st.floats(-1e4, 1e4, allow_nan=False))
+    size = draw(st.floats(1e-3, 1e5, allow_nan=False).filter(lambda s: math.log2(s) % 1))
+    frame = GridFrame.from_raw(origin_x, origin_y, size)
+    seed = draw(st.integers(0, 2**32 - 1))
+    align_level = draw(st.integers(0, 20))
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(0.0, 1.0, size=(2, 64))
+    cells = rng.integers(0, 1 << align_level, size=(2, 32), endpoint=True)
+    t = np.concatenate(
+        [t, cells / float(1 << align_level), [[1.0, 1.0, 0.0, 0.3], [1.0, 0.0, 1.0, 1.0]],
+         [[-0.5, 1.5, 0.5], [0.5, 0.5, 2.0]]],
+        axis=1,
+    )
+    xs = origin_x + t[0] * size
+    ys = origin_y + t[1] * size
+    return frame, xs, ys
+
+
+class TestCrossLevelIdentity:
+    """A point's level-L code is its level-M code shifted right by 2(M - L).
+
+    The run pyramid of a point linearization derives every coarser level from
+    the finest codes by this identity, so a mismatch would make the probe
+    match a point against the wrong cell."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=frames_and_points())
+    def test_every_level_pair_up_to_twenty(self, case):
+        frame, xs, ys = case
+        codes = [frame.points_to_codes(xs, ys, level) for level in range(21)]
+        for fine in range(21):
+            for coarse in range(fine + 1):
+                shifted = codes[fine] >> np.uint64(2 * (fine - coarse))
+                np.testing.assert_array_equal(codes[coarse], shifted)
