@@ -1,7 +1,7 @@
 """Execution configuration: one frozen object instead of per-call kwargs.
 
-:class:`EngineConfig` bundles the optimizer knobs and the sharded fan-out:
-a :class:`repro.api.SpatialDataset` carries one as its default and any query
+:class:`EngineConfig` bundles the optimizer knobs: a
+:class:`repro.api.SpatialDataset` carries one as its default and any query
 can override individual fields with :meth:`EngineConfig.merged`.
 """
 
@@ -21,7 +21,7 @@ _UNSET = object()
 
 @dataclass(frozen=True, slots=True)
 class EngineConfig:
-    """Optimizer knobs and sharded fan-out of a dataset, in one place.
+    """Optimizer knobs of a dataset, in one place.
 
     Attributes
     ----------
@@ -30,16 +30,10 @@ class EngineConfig:
     device:
         Simulated device the optimizer prices canvas plans against; ``None``
         uses the default :class:`DeviceSpec`.
-    workers:
-        Pool workers for sharded scatter-gather fan-out (``0`` probes
-        shards serially in-process — the deterministic default; ``K >= 2``
-        uses a persistent shared-memory process pool).  Ignored by
-        unsharded datasets.
     """
 
     cost_model: "CostModel | None" = None
     device: "DeviceSpec | None" = None
-    workers: int = 0
 
     # ------------------------------------------------------------------ #
     # resolution
@@ -57,7 +51,6 @@ class EngineConfig:
         self,
         cost_model=_UNSET,
         device=_UNSET,
-        workers=_UNSET,
     ) -> "EngineConfig":
         """A copy with the given fields overridden (others kept).
 
@@ -69,6 +62,4 @@ class EngineConfig:
             updates["cost_model"] = cost_model
         if device is not _UNSET:
             updates["device"] = device
-        if workers is not _UNSET:
-            updates["workers"] = int(workers)
         return replace(self, **updates) if updates else self

@@ -10,8 +10,8 @@ counts and range estimation) are the alternatives the planner chooses among.
 * it owns the shared :class:`~repro.grid.uniform_grid.GridFrame`, a point
   source — a static :class:`~repro.geometry.point.PointSet` **or** a live
   :class:`~repro.store.store.SpatialStore` — and named polygon suites,
-* a default :class:`~repro.api.config.EngineConfig` (cost model, device,
-  shard workers), overridable per query,
+* a default :class:`~repro.api.config.EngineConfig` (cost model, device),
+  overridable per query,
 * an :class:`~repro.api.registry.IndexRegistry` caching the polygon indexes
   every query needs, shared with the backing store's snapshots, and
 * :meth:`query` = plan → execute → result: the optimizer's
@@ -66,10 +66,8 @@ from repro.query.plan import (
     range_estimate_plan,
     raster_count_plan,
     run_plan,
-    scatter_gather_plan,
 )
 from repro.query.spec import AggregationQuery
-from repro.shard.partition import StaticShards
 from repro.shard.store import ShardedStore
 from repro.store.store import SpatialStore
 
@@ -184,6 +182,15 @@ class DatasetResult:
         return "\n".join(lines)
 
 
+def _validated_shards(shards) -> int:
+    """``shards`` as a positive int; bools, floats and strings are refused."""
+    if isinstance(shards, bool) or not isinstance(shards, (int, np.integer)):
+        raise QueryError(f"shards must be an integer, got {shards!r}")
+    if shards < 1:
+        raise QueryError("shards must be >= 1")
+    return int(shards)
+
+
 class SpatialDataset:
     """Session facade over one point source and its polygon suites.
 
@@ -212,14 +219,15 @@ class SpatialDataset:
         index backing :meth:`raster_count` and the cell runs the ACT probe
         walks (for every epsilon whose index is no finer than this level).
     shards:
-        Partition a **static** source into this many rectangular tiles and
-        let the planner emit scatter-gather plans over them (exact merge,
-        bit-identical results; see :mod:`repro.shard`).  A sharded store
-        source brings its own shard count — passing a conflicting value is
-        an error — and a plain :class:`SpatialStore` cannot be sharded
-        after the fact (construct a :class:`~repro.shard.store.ShardedStore`
-        instead).  The fan-out runs serially unless the config's
-        ``workers`` field asks for a process pool.
+        Shard count: ``None`` or an integer >= 1.  A sharded store source
+        brings its own count — passing a conflicting value is an error —
+        and its ACT plans scatter over the member stores and gather exactly
+        (see :mod:`repro.shard`).  A plain :class:`SpatialStore` cannot be
+        sharded after the fact (construct a
+        :class:`~repro.shard.store.ShardedStore` instead).  On a **static**
+        source the count is validated and recorded but changes no
+        execution: every query takes the unsharded path, whose answers the
+        scatter-gather merge reproduces bit for bit anyway.
     """
 
     def __init__(
@@ -239,7 +247,8 @@ class SpatialDataset:
         self._suites: dict[str, PolygonSuite] = {}
         self._linearized = None
         self._code_index = None
-        self._static_shards: StaticShards | None = None
+        if shards is not None:
+            shards = _validated_shards(shards)
         if isinstance(source, (SpatialStore, ShardedStore)):
             self._store: "SpatialStore | ShardedStore | None" = source
             self._points: PointSet | None = None
@@ -250,7 +259,7 @@ class SpatialDataset:
                 source.attach_registry(registry)
             self.registry = source.registry
             if isinstance(source, ShardedStore):
-                if shards is not None and int(shards) != source.num_shards:
+                if shards is not None and shards != source.num_shards:
                     raise QueryError(
                         f"shards={shards} conflicts with the sharded store's "
                         f"{source.num_shards} shards"
@@ -270,9 +279,7 @@ class SpatialDataset:
                 raise QueryError("a static dataset needs an explicit grid frame")
             self.frame = frame
             self.registry = registry if registry is not None else IndexRegistry()
-            if shards is not None and int(shards) < 1:
-                raise QueryError("shards must be >= 1")
-            self.shards = int(shards) if shards is not None else None
+            self.shards = shards
         self.extent = extent if extent is not None else self.frame.frame_box()
         for name, regions in (suites or {}).items():
             self.add_suite(name, regions)
@@ -443,20 +450,6 @@ class SpatialDataset:
             return self._store.snapshot().live_points()
         return self._points
 
-    def _shard_state(self):
-        """Sharded execution state for :class:`PlanContext` (``None`` unsharded).
-
-        Static sources partition once, lazily (the point set is immutable);
-        store sources take a fresh consistent snapshot per query.
-        """
-        if self.shards is None:
-            return None
-        if self._store is not None:
-            return self._store.snapshot()
-        if self._static_shards is None:
-            self._static_shards = StaticShards.build(self._points, self.frame, self.shards)
-        return self._static_shards
-
     # ------------------------------------------------------------------ #
     # planning
     # ------------------------------------------------------------------ #
@@ -492,8 +485,7 @@ class SpatialDataset:
             model=config.resolved_cost_model(),
             candidates=candidates,
             num_points=self.num_points,
-            shards=self.shards,
-            workers=config.workers,
+            shards=self.shards if self._store is not None else None,
         )
 
     def explain(
@@ -534,7 +526,6 @@ class SpatialDataset:
         """
         spec = spec or AggregationQuery()
         target = self._resolve_suite(spec, suite)
-        config = self.config.merged(**overrides)
         with trace.span("dataset.query", suite=target.name) as query_span:
             with trace.timed("query.plan") as plan_span:
                 choice = self.plan(
@@ -563,22 +554,16 @@ class SpatialDataset:
                         epsilon=float(spec.epsilon),
                         fingerprint=target.fingerprint,
                     )
-                    join_kwargs = {}
-                    if self.shards is not None:
-                        # The sharded snapshot's scatter layer resolves the
-                        # worker count to the serial executor or a pool.
-                        join_kwargs["executor"] = config.workers
                     result = self._store.snapshot().act_join(
                         list(target.regions),
                         epsilon=float(spec.epsilon),
                         query=spec,
                         trie=trie,
-                        **join_kwargs,
                     )
                 else:
                     result = run_plan(
                         choice.plan,
-                        self._context(spec, target, choice.strategy, config, gpu),
+                        self._context(spec, target, choice.strategy, gpu),
                     )
             seconds = execute_span.seconds
 
@@ -640,12 +625,11 @@ class SpatialDataset:
         spec: AggregationQuery,
         target: PolygonSuite,
         strategy: str,
-        config: EngineConfig,
         gpu,
     ) -> PlanContext:
         """Execution context with the registry's prebuilt index plugged in.
 
-        An unsharded static source's ACT query also gets the dataset's cached
+        A static source's ACT query also gets the dataset's cached
         point linearization when it can walk it: no ``point_filter`` (the
         cache holds every point) and a level no coarser than the index's
         ``max_level``.  Otherwise the kernel linearizes per call.
@@ -663,7 +647,6 @@ class SpatialDataset:
             )
             if (
                 self._store is None
-                and self.shards is None
                 and spec.point_filter is None
                 and self.level >= trie.max_level
             ):
@@ -685,8 +668,6 @@ class SpatialDataset:
             gpu=gpu,
             linearized=linearized,
             level=self.level,
-            shards=self._shard_state(),
-            executor=config.workers,
         )
 
     # ------------------------------------------------------------------ #
@@ -712,13 +693,8 @@ class SpatialDataset:
             return [
                 snapshot.estimate_count_range(region, epsilon) for region in target.regions
             ]
-        context = self._context(spec, target, "estimate", self.config, None)
-        plan = range_estimate_plan(epsilon)
-        if self.shards is not None and self._store is None:
-            # Static sharded source: fan the coverage counts out per shard
-            # (one shared approximation, integer partials — exact merge).
-            plan = scatter_gather_plan(plan, self.shards, workers=self.config.workers)
-        return run_plan(plan, context)
+        context = self._context(spec, target, "estimate", None)
+        return run_plan(range_estimate_plan(epsilon), context)
 
     def raster_count(
         self,
@@ -727,7 +703,6 @@ class SpatialDataset:
         cells_per_polygon: int,
         conservative: bool = True,
         spec: AggregationQuery | None = None,
-        **overrides,
     ) -> np.ndarray:
         """Approximate per-region counts via query cells over the code index.
 
@@ -738,7 +713,6 @@ class SpatialDataset:
         """
         spec = spec or AggregationQuery()
         target = self._resolve_suite(spec, suite)
-        config = self.config.merged(**overrides)
         if self._store is not None and spec.point_filter is None:
             snapshot = self._store.snapshot()
             return np.array(
@@ -752,17 +726,7 @@ class SpatialDataset:
                 ],
                 dtype=np.int64,
             )
-        context = self._context(spec, target, "raster-count", config, None)
-        if self.shards is not None and self._store is None:
-            # Static sharded source: no global code index — each shard keeps
-            # its own sorted code array (built on the global frame at the
-            # context's level) and the integer partials sum exactly.
-            plan = scatter_gather_plan(
-                raster_count_plan(cells_per_polygon, conservative=conservative),
-                self.shards,
-                workers=config.workers,
-            )
-            return run_plan(plan, context)
+        context = self._context(spec, target, "raster-count", None)
         if spec.point_filter is None:
             context.linearized, context.code_index = self._point_index()
         else:
@@ -809,7 +773,7 @@ class SpatialDataset:
     def serve(self, **kwargs):
         """A started :class:`~repro.serve.server.QueryServer` over this dataset.
 
-        Keyword arguments (``max_batch``, ``max_wait_ms``, ``workers``, …)
+        Keyword arguments (``max_batch``, ``max_wait_ms``, …)
         pass through to the server.  Use as a context manager::
 
             with dataset.serve(max_batch=32) as server:

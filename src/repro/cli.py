@@ -48,9 +48,10 @@ Commands
 invalidation, flush and compaction events.
 
 Every query command routes through the :class:`repro.api.SpatialDataset`
-facade: one dataset owns the workload's frame, the polygon suite, the shard
-configuration and the polygon-index registry, and each strategy executes as
-a planned query over it.
+facade: one dataset owns the workload's frame, the polygon suite and the
+polygon-index registry, and each strategy executes as a planned query over
+it.  ``store --shards N`` streams into a sharded store whose joins
+scatter over the member stores and gather exactly.
 
 Examples
 --------
@@ -73,7 +74,7 @@ from typing import Sequence
 import numpy as np
 
 from repro import __version__
-from repro.api import EngineConfig, SpatialDataset
+from repro.api import SpatialDataset
 from repro.bench import print_table
 from repro.data import NYCWorkload
 from repro.geometry.measures import complexity_summary
@@ -115,7 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="execution strategy to run",
     )
     join.add_argument("--epsilon", type=float, default=4.0, help="distance bound in metres")
-    _add_shard_arguments(join)
 
     estimate = subparsers.add_parser("estimate", help="result-range estimation per region")
     _add_workload_arguments(estimate)
@@ -129,7 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run the chosen plan and print the result summary and timing",
     )
-    _add_shard_arguments(plan)
 
     store = subparsers.add_parser(
         "store", help="stream the workload through the updatable spatial store"
@@ -175,7 +174,15 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="bound auto-compaction to ~N merged bytes per flush",
     )
-    _add_shard_arguments(store)
+    store.add_argument(
+        "--shards",
+        type=int,
+        default=None,
+        help=(
+            "route ingest over N rectangular tiles (a sharded store) and "
+            "scatter-gather its joins (exact merge, identical results)"
+        ),
+    )
 
     recover = subparsers.add_parser(
         "recover",
@@ -232,12 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--level", type=int, default=12, help="linearization level of the store runs"
     )
     serve.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="process-pool workers for the fused probe (0 = serial in-process)",
-    )
-    serve.add_argument(
         "--trace",
         nargs="?",
         const="serve-trace.json",
@@ -285,27 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_shard_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help=(
-            "partition the point side into N rectangular tiles and run "
-            "scatter-gather plans over them (exact merge, identical results)"
-        ),
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help=(
-            "process-pool workers for the sharded fan-out "
-            "(0 = serial in-process, the default)"
-        ),
-    )
-
-
 def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--points", type=int, default=50_000, help="number of taxi-like points")
     parser.add_argument(
@@ -335,14 +315,11 @@ def _build_workload(args: argparse.Namespace):
 def _build_dataset(args: argparse.Namespace):
     """The workload wrapped in a :class:`SpatialDataset` facade session."""
     workload, points, regions = _build_workload(args)
-    config = EngineConfig(workers=getattr(args, "workers", 0))
     dataset = SpatialDataset(
         points,
         frame=workload.frame(),
         extent=workload.extent,
         suites={args.suite: regions},
-        config=config,
-        shards=getattr(args, "shards", None),
     )
     return workload, points, regions, dataset
 
@@ -408,13 +385,12 @@ def _cmd_join(args: argparse.Namespace) -> int:
             pip = getattr(result, "pip_tests", 0)
         error = median_relative_error(result.counts, reference.counts)
         rows.append([name, round(seconds, 3), round(build, 3), pip, f"{error:.3%}"])
-    sharding = f", shards={args.shards} workers={args.workers}" if args.shards else ""
     print_table(
         ["strategy", "seconds", "build s", "exact tests", "median rel. error"],
         rows,
         title=(
             f"Spatial aggregation join ({len(points):,} points x {len(regions)} regions, "
-            f"eps={args.epsilon} m{sharding})"
+            f"eps={args.epsilon} m)"
         ),
     )
     return 0
@@ -469,12 +445,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         f"result: {counts.shape[0]} regions, total count {int(counts.sum()):,}, "
         f"max {int(counts.max()) if counts.size else 0:,}"
     )
-    shard_seconds = outcome.stage_seconds.get("shard_execute")
-    if shard_seconds:
-        fan_out = ", ".join(
-            f"shard{i} {sec * 1e3:.2f}ms" for i, sec in enumerate(shard_seconds)
-        )
-        print(f"fan-out ({len(shard_seconds)} shards, workers={args.workers}): {fan_out}")
     return 0
 
 
@@ -517,11 +487,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
         store = SpatialStore.create(args.wal, frame, args.level, **store_kwargs)
     else:
         store = SpatialStore(frame, args.level, **store_kwargs)
-    dataset = SpatialDataset(
-        store,
-        suites={args.suite: regions},
-        config=EngineConfig(workers=args.workers),
-    )
+    dataset = SpatialDataset(store, suites={args.suite: regions})
     spec = AggregationQuery(epsilon=args.epsilon, suite=args.suite)
 
     batch_bounds = np.linspace(0, len(points), args.batches + 1, dtype=np.int64)
@@ -726,7 +692,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                 duration_seconds=args.duration,
                 max_batch=max_batch,
                 max_wait_ms=args.max_wait_ms,
-                workers=args.workers,
                 suite=args.suite,
                 epsilon=args.epsilon,
                 ingest_batch=args.ingest_batch,

@@ -2,17 +2,17 @@
 
 A :class:`~repro.api.dataset.SpatialDataset` is more than its point store —
 it carries named polygon suites (with content fingerprints the index cache
-keys on), an :class:`~repro.api.config.EngineConfig` and the planner knobs
-(``level``, ``shards``).  :func:`save_session` persists all of it under one
-directory so :func:`open_session` can bring an identical session back after
-a restart — the lever that makes a :class:`~repro.serve.server.QueryServer`
-node restartable (see ``examples/restartable_serving.py``).
+keys on) and the planner knobs (``level``, ``shards``).  :func:`save_session`
+persists all of it under one directory so :func:`open_session` can bring an
+identical session back after a restart — the lever that makes a
+:class:`~repro.serve.server.QueryServer` node restartable (see
+``examples/restartable_serving.py``).
 
 Layout::
 
     session/
-      session.json          # commit point: kind, level, frame, extent, config
-                            # (shard workers), suite index
+      session.json          # commit point: kind, level, shards, frame, extent,
+                            # suite index
       suites/
         suite_0000.wkt      # one WKT geometry per line, suite order
       points.npz            # static sessions: the immutable point set
@@ -156,7 +156,6 @@ def save_session(dataset, directory, *, sync: bool = True) -> Path:
                 "origin_y": float(dataset.frame.origin_y),
                 "size": float(dataset.frame.size),
             },
-            "config": {"workers": int(dataset.config.workers)},
             "suites": suites,
         }
         _write_atomic(
@@ -236,14 +235,15 @@ def open_session(
 ):
     """Restore a session checkpointed with :func:`save_session`.
 
-    ``config`` overrides the persisted :class:`EngineConfig` wholesale
-    (cost model and device specs are not serialisable and always come from
-    the override or the defaults).  ``durable`` / ``sync`` pass through to
+    ``config`` sets the session's :class:`EngineConfig` (its cost model and
+    device specs are not serialisable, so none is persisted; the default
+    applies without an override).  ``durable`` / ``sync`` pass through to
     the store open — store-backed sessions replay their WALs here, and the
-    dataset's ``store.last_recovery`` reports what came back.  Manifests
-    that still carry ``config.engine`` / ``config.build_engine`` (written
-    when the library had selectable backends) open unchanged; both keys are
-    ignored.
+    dataset's ``store.last_recovery`` reports what came back.  Older
+    manifests carry a ``config`` object (``engine`` / ``build_engine`` from
+    when the library had selectable backends, ``workers`` from when a
+    process pool could run the sharded probe); it opens unchanged and is
+    ignored, since every query now runs on the one in-process path.
 
     Raises
     ------
@@ -262,11 +262,8 @@ def open_session(
         raise StoreError(f"no session manifest in {directory}")
     with trace.span("session.open", directory=str(directory)):
         manifest = _read_manifest(manifest_path)
-        if config is None:
-            config = EngineConfig(workers=manifest["workers"])
-
         kind = manifest["kind"]
-        kwargs = {"config": config, "level": manifest["level"]}
+        kwargs = {"config": config or EngineConfig(), "level": manifest["level"]}
         if kind == "static":
             source = _load_points(directory / "points.npz")
             kwargs["frame"] = manifest["frame"]
@@ -326,8 +323,7 @@ def _read_manifest(path: Path) -> dict:
             "kind": manifest["kind"],
             "level": int(manifest["level"]),
             "frame": GridFrame.from_raw(frame["origin_x"], frame["origin_y"], frame["size"]),
-            "shards": manifest.get("shards"),
-            "workers": int((manifest.get("config") or {}).get("workers", 0)),
+            "shards": _manifest_shards(manifest.get("shards")),
             "suites": [
                 (entry["name"], entry["file"], entry["fingerprint"])
                 for entry in manifest["suites"]
@@ -335,6 +331,15 @@ def _read_manifest(path: Path) -> dict:
         }
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise StoreError(f"malformed session manifest {path}: bad {exc!r}") from None
+
+
+def _manifest_shards(shards):
+    """A manifest's ``shards``: ``null`` or an integer >= 1 (never a bool)."""
+    if shards is None:
+        return None
+    if isinstance(shards, bool) or not isinstance(shards, int) or shards < 1:
+        raise ValueError(f"shards={shards!r} (expected null or an integer >= 1)")
+    return shards
 
 
 def _load_points(path: Path) -> PointSet:

@@ -56,8 +56,8 @@ class Ring:
         self._slabs: SlabTable | None = None
 
     def __getstate__(self) -> dict:
-        # The edge table is derived state: polygons shipped to pool workers
-        # carry their coordinates only.
+        # The edge table is derived state: a pickled ring (a saved or copied
+        # polygon) carries its coordinates only.
         return {"coords": self.coords}
 
     def __setstate__(self, state: dict) -> None:

@@ -58,8 +58,6 @@ the slot mapping and the re-sort; everything else is shared.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from repro.arrays import csr_from_chunks, expand_slices, match_sorted
@@ -67,16 +65,6 @@ from repro.errors import IndexError_
 from repro.index.linearized import LinearizedPoints
 
 __all__ = ["FlatACT", "concat_cell_arrays"]
-
-#: Process-local generation tokens for segment-wise shared-memory publishing:
-#: a segment keeps its token for as long as its arrays are unchanged, so a
-#: publisher can skip re-shipping it (see :meth:`FlatACT.state_parts`).
-_TOKENS = itertools.count()
-
-
-def _next_token(prefix: str) -> str:
-    return f"{prefix}{next(_TOKENS)}"
-
 
 def concat_cell_arrays(approxes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Concatenate a suite's approximation cells into bulk-load arrays.
@@ -155,9 +143,6 @@ class FlatACT:
         "_slot_counts",
         "_num_polygons",
         "_fingerprints",
-        "_base_token",
-        "_ctl_token",
-        "_delta_tokens",
     )
 
     def __init__(
@@ -186,9 +171,6 @@ class FlatACT:
         self._slot_counts: "np.ndarray | None" = None
         self._num_polygons = None if num_polygons is None else int(num_polygons)
         self._fingerprints = tuple(fingerprints) if fingerprints is not None else None
-        self._base_token = _next_token("b")
-        self._ctl_token = _next_token("c")
-        self._delta_tokens: list[str] = []
         self.num_cells = sum(int(pids.shape[0]) for _, _, _, pids in levels)
 
     # ------------------------------------------------------------------ #
@@ -339,9 +321,6 @@ class FlatACT:
                 counts += np.bincount(pids, minlength=n)
         self._slot_counts = counts
 
-    def _touch(self) -> None:
-        self._ctl_token = _next_token("c")
-
     def _checked_cells(self, cells) -> tuple[np.ndarray, np.ndarray]:
         """One polygon's ``(codes, levels)`` pair as arrays, or :class:`IndexError_`.
 
@@ -395,13 +374,11 @@ class FlatACT:
         merging.  Patches of equal size make the stack a binary counter
         (``k`` patches leave ``popcount(k)`` segments), and a re-compressed
         posting always lands in a segment at least twice the size of the
-        one it left, so it is re-compressed O(log) times.  A merge retires
-        the absorbed segments' tokens; the result gets a fresh one.
+        one it left, so it is re-compressed O(log) times.
         """
         parts = [(slot_ids, codes, levels)]
         merged = codes.shape[0]
         while self._deltas and self._live_count(self._deltas[-1]) <= merged:
-            self._delta_tokens.pop()
             parts.append(self._live_postings(self._deltas.pop()))
             merged += parts[-1][0].shape[0]
         if len(parts) > 1:
@@ -410,7 +387,6 @@ class FlatACT:
         segment = _compress_segment(slot_ids, codes, levels)
         if segment:
             self._deltas.append(segment)
-            self._delta_tokens.append(_next_token("d"))
 
     def add_polygons(self, cells, fingerprints=None) -> list[int]:
         """Append polygons from their ``(codes, levels)`` cell arrays.
@@ -453,7 +429,6 @@ class FlatACT:
                 self._fingerprints = self._fingerprints + tuple(fingerprints)
             else:
                 self._fingerprints = None
-        self._touch()
         return list(range(start, start + len(cells)))
 
     def remove_polygons(self, positions) -> None:
@@ -491,7 +466,6 @@ class FlatACT:
             self._fingerprints = tuple(
                 fp for i, fp in enumerate(self._fingerprints) if not dead[i]
             )
-        self._touch()
 
     def replace_polygon(self, position: int, cells, fingerprint=None) -> None:
         """Swap one polygon's geometry in place (same dense id).
@@ -529,7 +503,6 @@ class FlatACT:
                 fps = list(self._fingerprints)
                 fps[position] = fingerprint
                 self._fingerprints = tuple(fps)
-        self._touch()
 
     def consolidate(self) -> "FlatACT":
         """Splice every segment back into one base CSR (in place).
@@ -561,17 +534,25 @@ class FlatACT:
             self._levels = []
         self.num_cells = sum(int(pids.shape[0]) for _, _, _, pids in self._levels)
         self._deltas = []
-        self._delta_tokens = []
         self._dense_of_slot = None
         self._slot_counts = None
-        self._base_token = _next_token("b")
-        self._touch()
         return self
 
     # ------------------------------------------------------------------ #
     # persistence
     # ------------------------------------------------------------------ #
-    def _control_arrays(self) -> dict[str, np.ndarray]:
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        """The index as a flat name → array mapping.
+
+        Per populated level the sorted keys, CSR offsets and postings, plus
+        the frame parameters ``(origin_x, origin_y, size)`` and
+        ``max_level``.  A consolidated, fingerprint-less index emits the
+        original (v1) schema; mutated or fingerprinted indexes add a
+        ``schema`` version field, the slot → dense map and the delta
+        segments.  This is the ``.npz`` schema of :meth:`save`: an index
+        rebuilt from these arrays answers every lookup bit for bit
+        identically.
+        """
         frame = self.frame
         arrays: dict[str, np.ndarray] = {
             "frame_params": np.array(
@@ -596,70 +577,19 @@ class FlatACT:
                 arrays["dense_of_slot"] = self._dense_of_slot
             if has_fps:
                 arrays["fingerprints"] = np.array(list(self._fingerprints), dtype="S32")
+        self._write_segment(arrays, "level_numbers", "level_", self._levels)
+        for d, segment in enumerate(self._deltas):
+            self._write_segment(arrays, f"delta_{d}_level_numbers", f"delta_{d}_", segment)
         return arrays
 
-    def _base_arrays(self) -> dict[str, np.ndarray]:
-        arrays: dict[str, np.ndarray] = {
-            "level_numbers": np.array([lvl for lvl, _, _, _ in self._levels], dtype=np.int64)
-        }
-        for i, (_, keys, offsets, pids) in enumerate(self._levels):
-            arrays[f"level_{i}_keys"] = keys
-            arrays[f"level_{i}_offsets"] = offsets
-            arrays[f"level_{i}_polygon_ids"] = pids
-        return arrays
-
-    def _delta_arrays(self, d: int) -> dict[str, np.ndarray]:
-        segment = self._deltas[d]
-        arrays: dict[str, np.ndarray] = {
-            f"delta_{d}_level_numbers": np.array(
-                [lvl for lvl, _, _, _ in segment], dtype=np.int64
-            )
-        }
+    @staticmethod
+    def _write_segment(arrays: dict, numbers_key: str, prefix: str, segment) -> None:
+        """Add one segment's level numbers and per-level CSR arrays to ``arrays``."""
+        arrays[numbers_key] = np.array([lvl for lvl, _, _, _ in segment], dtype=np.int64)
         for i, (_, keys, offsets, pids) in enumerate(segment):
-            arrays[f"delta_{d}_{i}_keys"] = keys
-            arrays[f"delta_{d}_{i}_offsets"] = offsets
-            arrays[f"delta_{d}_{i}_polygon_ids"] = pids
-        return arrays
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        """The index as a flat name → array mapping.
-
-        Per populated level the sorted keys, CSR offsets and postings, plus
-        the frame parameters ``(origin_x, origin_y, size)`` and
-        ``max_level``.  A consolidated, fingerprint-less index emits the
-        original (v1) schema; mutated or fingerprinted indexes add a
-        ``schema`` version field, the slot → dense map and the delta
-        segments.  This is both the ``.npz`` schema of :meth:`save` and the
-        unit of transport for shared-memory publishing
-        (:mod:`repro.shard.shm`): an index rebuilt from these arrays answers
-        every lookup bit for bit identically.
-        """
-        arrays = self._control_arrays()
-        arrays.update(self._base_arrays())
-        for d in range(len(self._deltas)):
-            arrays.update(self._delta_arrays(d))
-        return arrays
-
-    def state_parts(self) -> list[tuple[str, dict]]:
-        """The state partitioned into token-tagged segments.
-
-        Returns ``[(token, arrays), ...]`` whose array union equals
-        :meth:`state_arrays`.  A segment's token is stable while its arrays
-        are unchanged and moves on any mutation that touches it, so a
-        shared-memory publisher can re-ship **only the changed segments**:
-        the control part changes on every mutation (it carries the
-        tombstone map), the base only on :meth:`consolidate`, and each delta
-        segment is immutable from birth — a patch that merges the newest
-        segments (:meth:`_append_delta`) retires their tokens and ships the
-        merged segment under a fresh one, never the older ones below it.
-        """
-        parts = [
-            (self._ctl_token, self._control_arrays()),
-            (self._base_token, self._base_arrays()),
-        ]
-        for d, token in enumerate(self._delta_tokens):
-            parts.append((token, self._delta_arrays(d)))
-        return parts
+            arrays[f"{prefix}{i}_keys"] = keys
+            arrays[f"{prefix}{i}_offsets"] = offsets
+            arrays[f"{prefix}{i}_polygon_ids"] = pids
 
     @staticmethod
     def _read_segment(data, num_levels: int, prefix: str, level_numbers):
@@ -678,7 +608,7 @@ class FlatACT:
         """Rebuild from :meth:`state_arrays` output (or any mapping of it).
 
         ``data`` only needs ``__getitem__`` — a dict of live arrays, an open
-        ``np.load`` handle, or zero-copy shared-memory views all work.
+        ``np.load`` handle or any other read-only view works.
         Files written before the schema field (v1) load as consolidated
         indexes.
         """
@@ -703,7 +633,6 @@ class FlatACT:
             flat._deltas.append(
                 cls._read_segment(data, len(level_numbers), f"delta_{d}_", level_numbers)
             )
-            flat._delta_tokens.append(_next_token("d"))
         if has_dense:
             dense = np.asarray(data["dense_of_slot"], dtype=np.int64)
             flat._dense_of_slot = dense

@@ -16,8 +16,8 @@ cover the two kinds of callers in the codebase:
 
 Span stacks live in a :class:`~contextvars.ContextVar`.  New threads start
 with an empty context, so spans can never leak across client threads: each
-thread (and each pool worker process) builds its own root.  Finished roots
-are appended to the active tracer under a lock.
+thread builds its own root.  Finished roots are appended to the active
+tracer under a lock.
 
 Export formats: a plain JSON dict tree (:meth:`Tracer.to_dict`) and the
 Chrome trace-event format (:meth:`Tracer.chrome_trace`) loadable in
@@ -37,7 +37,6 @@ __all__ = [
     "Span",
     "Tracer",
     "active",
-    "add_finished",
     "annotate",
     "current_span",
     "disable",
@@ -46,7 +45,6 @@ __all__ = [
     "now",
     "render_tree",
     "span",
-    "span_from_dict",
     "span_to_dict",
     "timed",
 ]
@@ -192,22 +190,6 @@ def annotate(**tags: Any) -> None:
         current.annotate(**tags)
 
 
-def add_finished(finished: Span) -> None:
-    """Attach an externally-timed finished span under the caller's current span.
-
-    Used to graft spans whose lifetime did not nest lexically (e.g. a local
-    wrapper for work dispatched to a pool worker).  No-op when tracing is off.
-    """
-    tracer = _ACTIVE
-    if tracer is None:
-        return
-    parent = current_span()
-    if parent is not None:
-        parent.children.append(finished)
-    else:
-        tracer.add_root(finished)
-
-
 def render_tree(span: Span, indent: int = 0) -> list[str]:
     """Indented text rendering of a span subtree (one line per span)."""
     pad = "  " * indent
@@ -221,7 +203,7 @@ def render_tree(span: Span, indent: int = 0) -> list[str]:
 
 
 def span_to_dict(span: Span) -> dict[str, Any]:
-    """Serialize a span subtree (for shipping out of pool workers)."""
+    """Serialize a span subtree to plain JSON-ready dicts."""
     return {
         "name": span.name,
         "tags": dict(span.tags),
@@ -229,20 +211,6 @@ def span_to_dict(span: Span) -> dict[str, Any]:
         "end": span.end,
         "children": [span_to_dict(c) for c in span.children],
     }
-
-
-def span_from_dict(payload: dict[str, Any], shift: float = 0.0) -> Span:
-    """Rebuild a span subtree, shifting every timestamp by ``shift`` seconds.
-
-    Pool workers run in separate processes whose ``perf_counter`` origin is
-    unrelated to the parent's; the caller passes ``shift`` so the grafted
-    subtree lands at the local time the remote work was dispatched.
-    """
-    restored = Span(str(payload["name"]), dict(payload.get("tags", {})))
-    restored.start = float(payload["start"]) + shift
-    restored.end = float(payload["end"]) + shift
-    restored.children = [span_from_dict(c, shift) for c in payload.get("children", [])]
-    return restored
 
 
 class Tracer:
@@ -255,27 +223,6 @@ class Tracer:
     def add_root(self, span: Span) -> None:
         with self._lock:
             self.roots.append(span)
-
-    def attach(
-        self,
-        payload: dict[str, Any],
-        *,
-        parent: Span | None = None,
-        rebase_to: float | None = None,
-    ) -> Span:
-        """Graft a serialized span subtree into the tree.
-
-        ``rebase_to`` aligns the remote root's start with a local timestamp
-        (see :func:`span_from_dict`); without it the payload's own clock is
-        kept, which is only meaningful for same-process payloads.
-        """
-        shift = 0.0 if rebase_to is None else rebase_to - float(payload["start"])
-        grafted = span_from_dict(payload, shift)
-        if parent is not None:
-            parent.children.append(grafted)
-        else:
-            self.add_root(grafted)
-        return grafted
 
     def walk(self) -> Iterator[Span]:
         with self._lock:

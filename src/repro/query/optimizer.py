@@ -188,7 +188,6 @@ def choose_plan(
     candidates: "tuple[str, ...] | None" = None,
     num_points: "int | None" = None,
     shards: "int | None" = None,
-    workers: int = 0,
 ) -> PlanChoice:
     """Pick the cheapest plan among ``candidates`` for the given query.
 
@@ -201,10 +200,9 @@ def choose_plan(
     can plan cheaply; with it and an explicit ``extent``, ``points`` is
     never touched.
 
-    ``shards`` marks the dataset as sharded: a winning ``act`` plan is
-    wrapped in a :func:`~repro.query.plan.scatter_gather_plan` merge node
-    (the per-shard subplans fan out over ``workers`` pool workers, serially
-    when 0).  Sharding never changes the cost competition — the merge is
+    ``shards`` marks the point source as a sharded store: a winning ``act``
+    plan is wrapped in a :func:`~repro.query.plan.scatter_gather_plan`
+    merge node.  Sharding never changes the cost competition — the merge is
     exact, so the sharded plan computes the same result as its subplan.
     """
     device = device or DeviceSpec()
@@ -273,7 +271,7 @@ def choose_plan(
         # The act probe phase is what shards: the index is built (or fetched)
         # once and every shard probes it independently.  Other strategies
         # keep their unsharded plans and execute over the merged point set.
-        plan = scatter_gather_plan(plan, shards, workers=workers).with_cost(costs[strategy])
+        plan = scatter_gather_plan(plan, shards).with_cost(costs[strategy])
     return PlanChoice(
         plan=plan,
         strategy=strategy,

@@ -119,13 +119,9 @@ class PlanContext:
     #: Point linearization level of raster-count plans built on the fly
     #: (a prebuilt ``linearized`` brings its own).
     level: int = 12
-    #: Sharded execution state for scatter_gather plans: a
-    #: :class:`~repro.shard.partition.StaticShards` (static datasets) or a
-    #: :class:`~repro.shard.store.ShardedSnapshot` (sharded stores).
+    #: Sharded execution state for scatter_gather plans: the
+    #: :class:`~repro.shard.store.ShardedSnapshot` of a sharded store.
     shards: Any = None
-    #: Worker count or executor instance for the scatter fan-out
-    #: (``None``/``0``/``1`` → the serial in-process executor).
-    executor: Any = None
 
 
 # --------------------------------------------------------------------------- #
@@ -191,21 +187,18 @@ def range_estimate_plan(epsilon: float) -> PlanNode:
     return PlanNode("result_range", {"epsilon": epsilon}, (counts,))
 
 
-def scatter_gather_plan(subplan: PlanNode, shards: int, workers: int = 0) -> PlanNode:
+def scatter_gather_plan(subplan: PlanNode, shards: int) -> PlanNode:
     """Fan a per-shard subplan out over K shards and merge the partials exactly.
 
-    The merge node the optimizer emits when the dataset is sharded: the
-    child runs once per shard (serially or on a process pool with
-    ``workers`` workers) and the root merges the partial aggregates —
-    stable global-id scatter-add for joins, integer summation for the
+    The merge node the optimizer emits over a sharded store: the child runs
+    once per shard, in-process, and the root merges the partial aggregates
+    — stable global-id scatter-add for joins, integer summation for the
     raster-count and range-estimation paths — so the result is
     bit-identical to the unsharded subplan.
     """
     if shards < 1:
         raise QueryError("scatter_gather needs at least one shard")
-    return PlanNode(
-        "scatter_gather", {"shards": int(shards), "workers": int(workers)}, (subplan,)
-    )
+    return PlanNode("scatter_gather", {"shards": int(shards)}, (subplan,))
 
 
 # --------------------------------------------------------------------------- #
@@ -329,116 +322,40 @@ def _run_plan_root(plan: PlanNode, context: PlanContext):
 def _run_scatter_gather(plan: PlanNode, context: PlanContext):
     """Fan the child plan out across the context's shards and merge exactly.
 
-    ``context.shards`` carries the sharded execution state: a
-    ``StaticShards`` partition (per-shard subsets of a static point set) or
-    a ``ShardedSnapshot`` (per-shard store snapshots, which route through
-    their registry-aware query methods).  Every merge is exact, so the
-    result is bit-identical to running the child plan unsharded.
+    ``context.shards`` is a ``ShardedSnapshot`` (per-shard store snapshots,
+    which route through their registry-aware query methods).  Every merge
+    is exact, so the result is bit-identical to running the child plan
+    unsharded.
     """
     shards = context.shards
     if shards is None:
         raise QueryError("a scatter_gather plan needs PlanContext.shards")
     child = plan.children[0]
     op = child.operator
-    trace.annotate(
-        subplan=op,
-        shards=int(plan.params.get("shards", 0)),
-        workers=int(plan.params.get("workers", 0)),
-    )
+    trace.annotate(subplan=op, shards=int(plan.params.get("shards", 0)))
 
     if op == "act_aggregate":
-        epsilon = float(child.params["epsilon"])
-        if hasattr(shards, "act_join"):  # sharded store snapshot
-            return shards.act_join(
-                context.regions,
-                epsilon=epsilon,
-                query=context.query,
-                trie=context.trie,
-                executor=context.executor,
-            )
-        from repro.shard.gather import sharded_act_join
-
-        return sharded_act_join(
-            shards.segments(),
+        return shards.act_join(
             context.regions,
-            _require_frame(context),
-            epsilon=epsilon,
+            epsilon=float(child.params["epsilon"]),
             query=context.query,
             trie=context.trie,
-            executor=context.executor,
         )
-
     if op == "range_count":
         ranges_node = child.children[0]
         cells = int(ranges_node.params["cells_per_polygon"])
         conservative = bool(ranges_node.params.get("conservative", True))
-        if hasattr(shards, "raster_count"):  # sharded store snapshot
-            return np.array(
-                [
-                    shards.raster_count(
-                        region,
-                        cells,
-                        conservative=conservative,
-                    )
-                    for region in context.regions
-                ],
-                dtype=np.int64,
-            )
-        from repro.query.containment import level_query_ranges
-        from repro.shard.gather import sharded_count_ranges
-
-        frame = _require_frame(context)
-        indexes = _static_shard_indexes(shards, context, frame, context.level)
-        # One range decomposition per region (identical to the unsharded
-        # plan's); every shard counts against the same key ranges.
         return np.array(
             [
-                sharded_count_ranges(
-                    indexes,
-                    level_query_ranges(region, frame, context.level, cells, conservative),
-                )
+                shards.raster_count(region, cells, conservative=conservative)
                 for region in context.regions
             ],
             dtype=np.int64,
         )
-
     if op == "result_range":
         epsilon = float(child.params["epsilon"])
-        if hasattr(shards, "estimate_count_range"):  # sharded store snapshot
-            return [
-                shards.estimate_count_range(region, epsilon) for region in context.regions
-            ]
-        from repro.shard.gather import sharded_estimate_count_range
-
-        coords = []
-        for part in shards.parts:
-            points = context.query.filtered_points(part.points)
-            coords.append((points.xs, points.ys))
-        return [
-            sharded_estimate_count_range(coords, region, epsilon)
-            for region in context.regions
-        ]
-
+        return [shards.estimate_count_range(region, epsilon) for region in context.regions]
     raise QueryError(f"scatter_gather cannot fan out a {op!r} subplan")
-
-
-def _static_shard_indexes(shards, context: PlanContext, frame, level: int):
-    """Per-shard code indexes for a static partition, honouring point filters."""
-    if context.query.point_filter is None:
-        return shards.code_indexes(level)
-    from repro.index.sorted_array import SortedCodeArray
-
-    indexes = []
-    for part in shards.parts:
-        points = context.query.filtered_points(part.points)
-        in_frame = frame.contains_points(points.xs, points.ys)
-        xs, ys = points.xs[in_frame], points.ys[in_frame]
-        if xs.shape[0] == 0:
-            indexes.append(None)
-            continue
-        codes = frame.points_to_codes(xs, ys, level)
-        indexes.append(SortedCodeArray(np.sort(codes), assume_sorted=True))
-    return indexes
 
 
 def execute_plan(plan: PlanNode, context: PlanContext) -> np.ndarray:

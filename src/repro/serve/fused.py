@@ -16,10 +16,7 @@ The serving layer's throughput comes from two coalescing shapes:
   per request.  The batch probe is a per-point function, so each slice
   equals the solo probe of that request's block, bit for bit.
 
-Both probe through a :mod:`repro.shard.exec` executor, so a server with
-``workers >= 2`` ships the batch to the persistent shared-memory process
-pool (publish-once FlatACT CSR buffers, per-batch coordinate blocks) and
-the fused call runs off the dispatcher thread.
+Both probe in-process, on the calling (dispatcher) thread.
 """
 
 from __future__ import annotations
@@ -30,9 +27,10 @@ from repro.errors import QueryError
 from repro.geometry.point import PointSet
 from repro.obs import trace
 from repro.serve.request import JoinAnswer, LookupAnswer
-from repro.shard.exec import get_executor
 
 __all__ = ["fused_act_join", "fused_lookup"]
+
+_EMPTY_CSR = (np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64))
 
 
 def fused_act_join(
@@ -40,7 +38,6 @@ def fused_act_join(
     num_regions: int,
     trie,
     specs,
-    executor=None,
 ) -> "tuple[list[JoinAnswer], int, float]":
     """One shared probe pass answering every join spec in the batch.
 
@@ -54,7 +51,6 @@ def fused_act_join(
     Returns ``(answers, probed_points, probe_seconds)`` with one
     :class:`JoinAnswer` per spec, in spec order.
     """
-    executor = get_executor(executor)
     base = specs[0]
 
     filtered: list[tuple[np.ndarray, PointSet]] = []
@@ -67,9 +63,15 @@ def fused_act_join(
             ids = ids[mask]
         filtered.append((ids, points))
 
-    coords = [(points.xs, points.ys) for _, points in filtered]
-    with trace.span("fused.probe", segments=len(coords), specs=len(specs)):
-        results, seconds = executor.probe_act(trie, coords)
+    with trace.span("fused.probe", segments=len(filtered), specs=len(specs)):
+        with trace.timed("shard.probe", points=sum(len(p) for _, p in filtered)) as probe_span:
+            results = [
+                trie.lookup_points_batch(points.xs, points.ys)
+                if len(points)
+                else _EMPTY_CSR
+                for _, points in filtered
+            ]
+    probe_seconds = probe_span.seconds
 
     with trace.span("fused.scatter", specs=len(specs)):
         # Shared pair stream: segment order and point order within a segment
@@ -102,7 +104,7 @@ def fused_act_join(
                         counts=counts.copy(),
                     )
                 )
-            return answers, probes, float(sum(seconds))
+            return answers, probes, probe_seconds
 
         pair_ids = np.concatenate(id_chunks)
         order = np.argsort(pair_ids, kind="stable")
@@ -120,13 +122,12 @@ def fused_act_join(
                     counts=counts.copy(),
                 )
             )
-    return answers, probes, float(sum(seconds))
+    return answers, probes, probe_seconds
 
 
 def fused_lookup(
     trie,
     blocks,
-    executor=None,
 ) -> "tuple[list[LookupAnswer], int, float]":
     """One concatenated probe answering every point-lookup block.
 
@@ -137,7 +138,6 @@ def fused_lookup(
 
     Returns ``(answers, probed_points, probe_seconds)``.
     """
-    executor = get_executor(executor)
     lengths = [int(np.asarray(xs).shape[0]) for xs, _ in blocks]
     total = int(sum(lengths))
     if total == 0:
@@ -152,9 +152,8 @@ def fused_lookup(
 
     all_xs = np.concatenate([np.asarray(xs, dtype=np.float64) for xs, _ in blocks])
     all_ys = np.concatenate([np.asarray(ys, dtype=np.float64) for _, ys in blocks])
-    with trace.span("fused.lookup", blocks=len(blocks), points=total):
-        results, seconds = executor.probe_act(trie, [(all_xs, all_ys)])
-    offsets, pids = results[0]
+    with trace.timed("fused.lookup", blocks=len(blocks), points=total) as lookup_span:
+        offsets, pids = trie.lookup_points_batch(all_xs, all_ys)
 
     answers: list[LookupAnswer] = []
     start = 0
@@ -167,4 +166,4 @@ def fused_lookup(
             )
         )
         start = end
-    return answers, total, float(sum(seconds))
+    return answers, total, lookup_span.seconds

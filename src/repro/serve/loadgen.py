@@ -49,7 +49,7 @@ class LoadReport:
     kernel_seconds: float
     ingested_points: int = 0
     #: The server's full frozen stats snapshot (histogram quantiles, batch
-    #: occupancy, registry/store/shm aggregates) taken at drain time.
+    #: occupancy, registry/store aggregates) taken at drain time.
     server_stats: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
@@ -93,7 +93,6 @@ def run_serving_load(
     duration_seconds: float = 2.0,
     max_batch: int = 64,
     max_wait_ms: float = 2.0,
-    workers=0,
     suite: "str | None" = None,
     epsilon: float = 4.0,
     ingest_batch: int = 0,
@@ -116,9 +115,7 @@ def run_serving_load(
     errors = [0] * clients
     started = threading.Barrier(clients + 1)
 
-    with QueryServer(
-        dataset, max_batch=max_batch, max_wait_ms=max_wait_ms, workers=workers
-    ) as server:
+    with QueryServer(dataset, max_batch=max_batch, max_wait_ms=max_wait_ms) as server:
 
         def client(slot: int) -> None:
             mine = latencies[slot]

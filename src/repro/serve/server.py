@@ -15,8 +15,6 @@ distance-bounded queries:
 3. **Kernel** — the batch executes as **one** fused kernel call
    (:mod:`repro.serve.fused`): join batches share a single probe pass over
    the point source, lookup batches concatenate their probe coordinates.
-   With ``workers >= 2`` the probe runs on the persistent shared-memory
-   process pool (publish-once FlatACT CSR buffers), off the dispatcher.
 4. **Scatter** — per-request results are sliced back by request id and the
    futures resolve, each with per-request timing telemetry.
 
@@ -49,7 +47,6 @@ from repro.serve.request import (
     ServeResponse,
     SuiteUpdateAnswer,
 )
-from repro.shard.exec import get_executor
 
 __all__ = ["QueryServer", "ServerStats", "StatsSnapshot"]
 
@@ -152,10 +149,6 @@ class QueryServer:
     max_batch_points:
         Cap on the concatenated probe points of one point-lookup batch
         (join batches share the dataset's points and are unaffected).
-    workers:
-        ``0`` probes in the dispatcher thread; ``K >= 2`` probes on the
-        persistent shared-memory process pool shared with sharded
-        execution (:func:`repro.shard.exec.get_executor`).
     stats_interval_seconds:
         When set, a daemon timer thread snapshots :attr:`stats` every
         interval and hands the frozen snapshot to ``stats_hook``.
@@ -178,7 +171,6 @@ class QueryServer:
         max_batch: int = 64,
         max_wait_ms: float = 2.0,
         max_batch_points: int = 1 << 20,
-        workers=0,
         stats_interval_seconds: "float | None" = None,
         stats_hook=None,
     ) -> None:
@@ -192,7 +184,6 @@ class QueryServer:
         self.max_batch = int(max_batch)
         self.max_wait_seconds = float(max_wait_ms) / 1e3
         self.max_batch_points = int(max_batch_points)
-        self._executor = get_executor(workers)
         self._stats = ServerStats()
         self.metrics = MetricsRegistry()
         self._queue: deque[ServeRequest] = deque()
@@ -218,9 +209,8 @@ class QueryServer:
         snapshot is taken under the same lock, so the fields are mutually
         consistent (``responses`` can never be ahead of ``batches``).  The
         snapshot also folds in the histogram quantiles (latency, batch
-        occupancy), the dataset's registry counters, the store's flush and
-        compaction counters, and the executor's shared-memory publish
-        accounting.
+        occupancy), the dataset's registry counters and the store's flush and
+        compaction counters.
         """
         with self._lock:
             data = self._stats.as_dict()
@@ -236,10 +226,6 @@ class QueryServer:
         data["latency_p99_ms"] = latency.get("p99", 0.0) * 1e3
         data["batch_occupancy_mean"] = occupancy.get("mean", 0.0)
         data["histograms"] = metrics
-        data["shm_published_bytes"] = getattr(self._executor, "published_bytes", 0)
-        data["shm_published_segments"] = getattr(
-            self._executor, "published_segments", 0
-        )
         data["registry"] = self.dataset.registry.stats.as_dict()
         store = self.dataset.store
         data["store"] = store.stats.as_dict() if store is not None else None
@@ -281,10 +267,9 @@ class QueryServer:
             )
             self._thread.start()
             _log.info(
-                "server start: max_batch=%d max_wait_ms=%g workers=%d",
+                "server start: max_batch=%d max_wait_ms=%g",
                 self.max_batch,
                 self.max_wait_seconds * 1e3,
-                self._executor.workers,
             )
             if self._stats_interval is not None:
                 self._stats_thread = threading.Thread(
@@ -649,7 +634,6 @@ class QueryServer:
                 len(suite.regions),
                 trie,
                 [request.spec for request in batch],
-                executor=self._executor,
             )
         scatter = max(kernel_span.seconds - probe_seconds, 0.0)
         return answers, probes, probe_seconds, scatter
@@ -662,7 +646,6 @@ class QueryServer:
             answers, probes, probe_seconds = fused_lookup(
                 trie,
                 [(request.params["xs"], request.params["ys"]) for request in batch],
-                executor=self._executor,
             )
         scatter = max(kernel_span.seconds - probe_seconds, 0.0)
         return answers, probes, probe_seconds, scatter
@@ -754,6 +737,5 @@ class QueryServer:
         state = "closed" if self._closed else ("running" if self._thread else "idle")
         return (
             f"QueryServer(max_batch={self.max_batch}, "
-            f"max_wait_ms={self.max_wait_seconds * 1e3:g}, "
-            f"workers={self._executor.workers}, {state})"
+            f"max_wait_ms={self.max_wait_seconds * 1e3:g}, {state})"
         )

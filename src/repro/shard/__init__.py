@@ -1,29 +1,23 @@
 """Sharded scatter-gather execution: tiled frames, routed stores, exact merges.
 
-The layer that takes every single-frame kernel in this reproduction
-multi-core (and, structurally, multi-machine): a
-:class:`~repro.shard.frame.ShardedFrame` tiles the global grid frame,
-points are routed per tile (at ingest for
-:class:`~repro.shard.store.ShardedStore`, at partition time for static
-sets), each shard probes independently — serially or over a persistent
-shared-memory process pool — and the partials merge **exactly**, so sharded
-answers are bit-identical to the unsharded kernels.
+A :class:`~repro.shard.frame.ShardedFrame` tiles the global grid frame and
+a :class:`~repro.shard.store.ShardedStore` routes every ingested point to
+its tile's member store.  A query probes each shard in-process, in shard
+order, and the partials merge **exactly**, so sharded answers are
+bit-identical to the unsharded kernels.  :class:`StaticShards` partitions a
+static point set the same way for callers that want the per-shard parts.
 """
 
-from repro.shard.exec import PoolExecutor, SerialExecutor, get_executor, shutdown_executors
 from repro.shard.frame import ShardedFrame, ShardTile
 from repro.shard.gather import (
     ShardSegment,
     sharded_act_join,
-    sharded_count_ranges,
     sharded_estimate_count_range,
 )
 from repro.shard.partition import ShardPart, StaticShards, partition_points
 from repro.shard.store import ShardedSnapshot, ShardedStore
 
 __all__ = [
-    "PoolExecutor",
-    "SerialExecutor",
     "ShardPart",
     "ShardSegment",
     "ShardTile",
@@ -31,10 +25,7 @@ __all__ = [
     "ShardedSnapshot",
     "ShardedStore",
     "StaticShards",
-    "get_executor",
     "partition_points",
     "sharded_act_join",
-    "sharded_count_ranges",
     "sharded_estimate_count_range",
-    "shutdown_executors",
 ]

@@ -17,8 +17,8 @@ partition time), probe each shard independently, merge the partials
   **once** and shared by every shard so no shard can disagree about the
   query geometry.
 
-The probe fan-out goes through an executor (:mod:`repro.shard.exec`):
-serial in-process by default, or a persistent shared-memory process pool.
+Every shard is probed in-process, in shard order, against the one resolved
+index.
 """
 
 from __future__ import annotations
@@ -28,16 +28,13 @@ import numpy as np
 from repro.errors import QueryError
 from repro.geometry.point import PointSet
 from repro.obs import trace
-from repro.query.engine import count_ranges
 from repro.query.join_mm import JoinResult
 from repro.query.range_estimation import coverage_counts, range_from_counts
 from repro.query.spec import AggregationQuery
-from repro.shard.exec import get_executor
 
 __all__ = [
     "ShardSegment",
     "sharded_act_join",
-    "sharded_count_ranges",
     "sharded_estimate_count_range",
 ]
 
@@ -77,7 +74,6 @@ def sharded_act_join(
     epsilon: float = 4.0,
     query: AggregationQuery | None = None,
     trie=None,
-    executor=None,
     registry=None,
 ) -> JoinResult:
     """ACT aggregation join over sharded points, bit-identical to unsharded.
@@ -85,18 +81,14 @@ def sharded_act_join(
     ``shard_segments`` is one list of :class:`ShardSegment` per shard (a
     static shard has one segment; a store shard has one per run plus the
     memtable).  The index is resolved once — prebuilt ``trie``, then
-    ``registry``, then a fresh build — and probed per shard through
-    ``executor``; pairs merge on global ids as described in the module
-    docstring.
+    ``registry``, then a fresh build — and probed per segment; pairs merge
+    on global ids as described in the module docstring.
     """
     from repro.index.flat_act import FlatACT
 
     query = query or AggregationQuery()
-    executor = get_executor(executor)
 
-    with trace.timed(
-        "gather.build", shards=len(shard_segments), workers=executor.workers
-    ) as build_span:
+    with trace.timed("gather.build", shards=len(shard_segments)) as build_span:
         registry_hit = False
         if trie is None:
             if registry is not None:
@@ -111,20 +103,13 @@ def sharded_act_join(
             index_memory += flat.memory_bytes()
     build_seconds = build_span.seconds
 
-    with trace.timed(
-        "gather.probe", shards=len(shard_segments), workers=executor.workers
-    ) as probe_phase:
-        # Filter each segment up front so the executor ships only
-        # probe-relevant coordinates; segment order within a shard and point
-        # order within a segment are preserved, so the global-id merge below
-        # sees the same pair stream as an unsharded probe.
+    with trace.timed("gather.probe", shards=len(shard_segments)) as probe_phase:
+        # Segment order within a shard and point order within a segment are
+        # preserved, so the global-id merge below sees the same pair stream
+        # as an unsharded probe.
         filtered = [
             [_filtered(seg, query) for seg in segments] for segments in shard_segments
         ]
-        flat_coords = [
-            (points.xs, points.ys) for segments in filtered for _, points, _ in segments
-        ]
-        flat_results, flat_seconds = executor.probe_act(trie, flat_coords)
 
         num_regions = len(regions)
         id_chunks: list[np.ndarray] = []
@@ -132,23 +117,22 @@ def sharded_act_join(
         val_chunks: list[np.ndarray] = []
         probes = 0
         shard_seconds = []
-        cursor = 0
-        for segments in filtered:
-            shard_time = 0.0
-            for ids, points, vals in segments:
-                offsets, pids = flat_results[cursor]
-                shard_time += flat_seconds[cursor]
-                cursor += 1
-                probes += len(points)
-                if pids.shape[0] == 0:
-                    continue
-                point_idx = np.repeat(
-                    np.arange(len(points), dtype=np.int64), np.diff(offsets)
-                )
-                id_chunks.append(ids[point_idx])
-                pid_chunks.append(pids)
-                val_chunks.append(vals[point_idx])
-            shard_seconds.append(shard_time)
+        for shard, segments in enumerate(filtered):
+            with trace.timed("shard.probe", shard=shard) as shard_span:
+                for ids, points, vals in segments:
+                    probes += len(points)
+                    if len(points) == 0:
+                        continue
+                    offsets, pids = trie.lookup_points_batch(points.xs, points.ys)
+                    if pids.shape[0] == 0:
+                        continue
+                    point_idx = np.repeat(
+                        np.arange(len(points), dtype=np.int64), np.diff(offsets)
+                    )
+                    id_chunks.append(ids[point_idx])
+                    pid_chunks.append(pids)
+                    val_chunks.append(vals[point_idx])
+            shard_seconds.append(shard_span.seconds)
 
         with trace.span("gather.scatter", pairs=int(sum(c.shape[0] for c in pid_chunks))):
             sums = np.zeros(num_regions, dtype=np.float64)
@@ -178,21 +162,10 @@ def sharded_act_join(
             "num_cells": trie.num_cells,
             "epsilon": epsilon,
             "shards": len(shard_segments),
-            "workers": executor.workers,
             "shard_seconds": shard_seconds,
             "registry_hit": registry_hit,
         },
     )
-
-
-def sharded_count_ranges(shard_indexes, ranges) -> int:
-    """Sum one code index's range counts per shard (integers: exact merge)."""
-    total = 0
-    for index in shard_indexes:
-        if index is None:  # a shard that holds no points
-            continue
-        total += count_ranges(index, ranges)
-    return int(total)
 
 
 def sharded_estimate_count_range(shard_coords, region, epsilon: float):

@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.geometry.point import PointSet
-from repro.index.sorted_array import SortedCodeArray
 from repro.shard.frame import ShardedFrame
 from repro.shard.gather import ShardSegment
 
@@ -57,27 +56,18 @@ def partition_points(points: PointSet, sharded_frame: ShardedFrame) -> list[Shar
 
 
 class StaticShards:
-    """A partitioned static dataset: parts plus lazy per-shard code indexes."""
+    """A partitioned static point set: one :class:`ShardPart` per tile."""
 
-    __slots__ = ("sharded_frame", "parts", "_code_indexes")
+    __slots__ = ("sharded_frame", "parts")
 
     def __init__(self, sharded_frame: ShardedFrame, parts: list[ShardPart]) -> None:
         self.sharded_frame = sharded_frame
         self.parts = parts
-        self._code_indexes: dict[int, list] = {}
 
     @classmethod
     def build(cls, points: PointSet, frame, shards: int) -> "StaticShards":
         sharded_frame = ShardedFrame(frame, shards)
         return cls(sharded_frame, partition_points(points, sharded_frame))
-
-    @property
-    def num_shards(self) -> int:
-        return self.sharded_frame.num_shards
-
-    @property
-    def frame(self):
-        return self.sharded_frame.frame
 
     def segments(self) -> list[list[ShardSegment]]:
         """Probe-ready segments for :func:`repro.shard.gather.sharded_act_join`."""
@@ -92,31 +82,3 @@ class StaticShards:
             ]
             for part in self.parts
         ]
-
-    def coords(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per-shard coordinate blocks (for coverage fan-out)."""
-        return [(part.points.xs, part.points.ys) for part in self.parts]
-
-    def code_indexes(self, level: int) -> list:
-        """Per-shard sorted code arrays at ``level`` (``None`` for empty shards).
-
-        Built lazily once per level and cached — all points are encoded on
-        the **global** frame, so the per-shard counts sum to exactly the
-        unsharded :class:`~repro.query.containment.LinearizedPoints` count.
-        """
-        indexes = self._code_indexes.get(level)
-        if indexes is None:
-            frame = self.frame
-            indexes = []
-            for part in self.parts:
-                xs, ys = part.points.xs, part.points.ys
-                in_frame = frame.contains_points(xs, ys)
-                if not in_frame.all():
-                    xs, ys = xs[in_frame], ys[in_frame]
-                if xs.shape[0] == 0:
-                    indexes.append(None)
-                    continue
-                codes = frame.points_to_codes(xs, ys, level)
-                indexes.append(SortedCodeArray(np.sort(codes), assume_sorted=True))
-            self._code_indexes[level] = indexes
-        return indexes

@@ -81,7 +81,6 @@ class ShardedSnapshot:
         epsilon: float = 4.0,
         query: AggregationQuery | None = None,
         trie=None,
-        executor=None,
     ):
         """ACT aggregation join, bit-identical to the unsharded snapshot path.
 
@@ -97,7 +96,6 @@ class ShardedSnapshot:
             epsilon=epsilon,
             query=query,
             trie=trie,
-            executor=executor,
             registry=self._registry,
         )
         result.extra["num_runs"] = sum(len(snap.runs) for snap in self.shards)

@@ -10,6 +10,7 @@ import pytest
 from repro.api import EngineConfig, IndexRegistry, SpatialDataset
 from repro.api import dataset as dataset_module
 from repro.errors import QueryError
+from repro.hardware.gpu import DeviceSpec
 from repro.query import AggregationQuery, CostModel
 
 
@@ -41,6 +42,18 @@ class TestConstruction:
         dataset = SpatialDataset(store, registry=registry)
         assert dataset.registry is registry
         assert store.registry is registry
+
+
+class TestShardsArgument:
+    @pytest.mark.parametrize("shards", [2.5, True, "3"], ids=["float", "bool", "str"])
+    def test_non_integer_shards_rejected(self, workload, taxi_points, shards):
+        with pytest.raises(QueryError, match="integer"):
+            SpatialDataset(taxi_points, frame=workload.frame(), shards=shards)
+
+    @pytest.mark.parametrize("shards", [0, -1])
+    def test_non_positive_shards_rejected(self, workload, taxi_points, shards):
+        with pytest.raises(QueryError, match=">= 1"):
+            SpatialDataset(taxi_points, frame=workload.frame(), shards=shards)
 
 
 class TestSuites:
@@ -87,27 +100,35 @@ class TestConfigPlumbing:
         original = dataset_module.choose_plan
 
         def spy(*args, **kwargs):
-            seen.append(kwargs["workers"])
+            seen.append(kwargs["model"])
             return original(*args, **kwargs)
 
         monkeypatch.setattr(dataset_module, "choose_plan", spy)
+        override = CostModel()
         dataset.query(AggregationQuery(epsilon=8.0), strategy="act")
-        dataset.query(AggregationQuery(epsilon=8.0), strategy="act", workers=3)
-        assert seen == [0, 3]
+        dataset.query(AggregationQuery(epsilon=8.0), strategy="act", cost_model=override)
+        assert seen[0] is not override
+        assert seen[1] is override
 
     def test_engine_config_merged(self):
         model = CostModel()
-        config = EngineConfig(cost_model=model, workers=2)
-        merged = config.merged(workers=4)
-        assert merged.workers == 4
+        device = DeviceSpec()
+        config = EngineConfig(cost_model=model)
+        merged = config.merged(device=device)
+        assert merged.device is device
         assert merged.cost_model is model
-        assert config.workers == 2  # original untouched
+        assert config.device is None  # original untouched
         assert config.merged() is config
         assert config.merged(cost_model=None).resolved_cost_model() == CostModel()
 
     def test_no_backend_knobs(self, dataset):
         """One probe path, one build path: nothing selects a backend."""
-        assert [f.name for f in fields(EngineConfig)] == ["cost_model", "device", "workers"]
+        assert [f.name for f in fields(EngineConfig)] == ["cost_model", "device"]
+
+    def test_no_worker_override(self, dataset):
+        """Every query runs in-process: ``workers`` is not an override."""
+        with pytest.raises(TypeError):
+            dataset.query(AggregationQuery(epsilon=8.0), strategy="act", workers=3)
         with pytest.raises(TypeError):
             EngineConfig(engine="python")
         with pytest.raises(TypeError):

@@ -7,6 +7,7 @@ import pytest
 from repro.api import SpatialDataset
 from repro.obs import trace
 from repro.query import AggregationQuery
+from repro.shard import ShardedStore
 
 
 @pytest.fixture(autouse=True)
@@ -79,12 +80,10 @@ class TestQuerySpans:
     def test_sharded_query_records_per_shard_spans(
         self, workload, taxi_points, neighborhoods
     ):
-        ds = SpatialDataset(
-            taxi_points,
-            frame=workload.frame(),
-            extent=workload.extent,
-            shards=4,
-        ).add_suite("neighborhoods", neighborhoods)
+        store = ShardedStore.from_points(taxi_points, workload.frame(), 10, 4)
+        ds = SpatialDataset(store, extent=workload.extent).add_suite(
+            "neighborhoods", neighborhoods
+        )
         trace.enable()
         outcome = ds.join("neighborhoods", strategy="act", epsilon=4.0)
         trace.disable()

@@ -10,7 +10,7 @@ from repro.durable import crashsim
 from repro.errors import StoreError
 from repro.geometry.point import PointSet
 from repro.geometry.polygon import Polygon
-from repro.query import AggregationQuery
+from repro.query import AggregationQuery, CostModel
 from repro.query.spec import Aggregate
 from repro.shard.store import ShardedStore
 from repro.store.store import SpatialStore
@@ -41,20 +41,54 @@ def _points(seed, n=3000):
     )
 
 
+def _assert_parent_manifest_opens(tmp_path, crash_frame, suite_regions, spec, config):
+    """Hand-write a parent-format manifest with ``config``, open it, compare."""
+    import json
+
+    dataset = SpatialDataset(
+        _points(12), frame=crash_frame, suites={"zones": suite_regions}, level=10
+    )
+    reference = dataset.query(spec)
+    dataset.save(tmp_path / "session")  # writes points.npz + the suite WKT
+    suite = dataset.suite("zones")
+    manifest = {
+        "format_version": 1,
+        "kind": "static",
+        "level": 10,
+        "shards": None,
+        "extent": {"min_x": dataset.extent.min_x, "min_y": dataset.extent.min_y,
+                   "max_x": dataset.extent.max_x, "max_y": dataset.extent.max_y},
+        "frame": {"origin_x": crash_frame.origin_x, "origin_y": crash_frame.origin_y,
+                  "size": crash_frame.size},
+        "config": config,
+        "suites": [{
+            "name": "zones",
+            "file": "suites/suite_0000.wkt",
+            "fingerprint": suite.fingerprint,
+            "entry_fingerprints": list(suite.entry_fingerprints),
+        }],
+    }
+    (tmp_path / "session/session.json").write_text(json.dumps(manifest, indent=2))
+    restored = SpatialDataset.open(tmp_path / "session")
+    assert restored.config == EngineConfig()
+    result = restored.query(spec)
+    np.testing.assert_array_equal(result.aggregates, reference.aggregates)
+    np.testing.assert_array_equal(result.counts, reference.counts)
+
+
 class TestStaticSessions:
     def test_round_trip_bit_identical(self, tmp_path, crash_frame, suite_regions, spec):
         dataset = SpatialDataset(
             _points(1),
             frame=crash_frame,
             suites={"zones": suite_regions},
-            config=EngineConfig(workers=3),
             level=10,
         )
         reference = dataset.query(spec)
         dataset.save(tmp_path / "session")
         restored = SpatialDataset.open(tmp_path / "session")
         assert restored.level == 10
-        assert restored.config == EngineConfig(workers=3)
+        assert restored.config == EngineConfig()
         assert restored.suite("zones").fingerprint == dataset.suite("zones").fingerprint
         result = restored.query(spec)
         np.testing.assert_array_equal(result.aggregates, reference.aggregates)
@@ -72,49 +106,30 @@ class TestStaticSessions:
 
     def test_config_override_wins(self, tmp_path, crash_frame, suite_regions):
         dataset = SpatialDataset(
-            _points(3),
-            frame=crash_frame,
-            suites={"zones": suite_regions},
-            config=EngineConfig(workers=1),
+            _points(3), frame=crash_frame, suites={"zones": suite_regions}
         )
         dataset.save(tmp_path / "session")
-        restored = SpatialDataset.open(tmp_path / "session", config=EngineConfig(workers=2))
-        assert restored.config.workers == 2
+        model = CostModel()
+        restored = SpatialDataset.open(
+            tmp_path / "session", config=EngineConfig(cost_model=model)
+        )
+        assert restored.config.cost_model is model
 
     def test_parent_format_manifest_opens(self, tmp_path, crash_frame, suite_regions, spec):
         """A manifest from before the backend knobs were retired still opens:
-        its ``config.engine`` / ``config.build_engine`` keys are ignored."""
-        import json
-
-        dataset = SpatialDataset(
-            _points(12), frame=crash_frame, suites={"zones": suite_regions}, level=10
+        its ``config.engine`` / ``config.build_engine`` / ``config.workers``
+        keys are ignored."""
+        _assert_parent_manifest_opens(
+            tmp_path, crash_frame, suite_regions, spec,
+            {"engine": "python", "build_engine": "vectorized", "workers": 2},
         )
-        reference = dataset.query(spec)
-        dataset.save(tmp_path / "session")  # writes points.npz + the suite WKT
-        suite = dataset.suite("zones")
-        manifest = {
-            "format_version": 1,
-            "kind": "static",
-            "level": 10,
-            "shards": None,
-            "extent": {"min_x": dataset.extent.min_x, "min_y": dataset.extent.min_y,
-                       "max_x": dataset.extent.max_x, "max_y": dataset.extent.max_y},
-            "frame": {"origin_x": crash_frame.origin_x, "origin_y": crash_frame.origin_y,
-                      "size": crash_frame.size},
-            "config": {"engine": "python", "build_engine": "vectorized", "workers": 2},
-            "suites": [{
-                "name": "zones",
-                "file": "suites/suite_0000.wkt",
-                "fingerprint": suite.fingerprint,
-                "entry_fingerprints": list(suite.entry_fingerprints),
-            }],
-        }
-        (tmp_path / "session/session.json").write_text(json.dumps(manifest, indent=2))
-        restored = SpatialDataset.open(tmp_path / "session")
-        assert restored.config == EngineConfig(workers=2)
-        result = restored.query(spec)
-        np.testing.assert_array_equal(result.aggregates, reference.aggregates)
-        np.testing.assert_array_equal(result.counts, reference.counts)
+
+    def test_parent_workers_manifest_opens(self, tmp_path, crash_frame, suite_regions, spec):
+        """A manifest from before the process pool was retired still opens:
+        its ``config.workers`` key is ignored."""
+        _assert_parent_manifest_opens(
+            tmp_path, crash_frame, suite_regions, spec, {"workers": 2}
+        )
 
     def test_saved_config_carries_no_backend_names(self, tmp_path, crash_frame, suite_regions):
         import json
@@ -125,7 +140,15 @@ class TestStaticSessions:
         dataset.save(tmp_path / "session")
         data = json.loads((tmp_path / "session/session.json").read_text())
         assert data["format_version"] == 1
-        assert data["config"] == {"workers": 0}
+        assert "config" not in data
+        assert "workers" not in json.dumps(data)
+
+    def test_static_shards_round_trip(self, tmp_path, crash_frame, suite_regions):
+        dataset = SpatialDataset(
+            _points(17), frame=crash_frame, suites={"zones": suite_regions}, shards=3
+        )
+        dataset.save(tmp_path / "session")
+        assert SpatialDataset.open(tmp_path / "session").shards == 3
 
 
 class TestStoreSessions:
@@ -311,6 +334,27 @@ class TestVerification:
         manifest = tmp_path / "session/session.json"
         data = json.loads(manifest.read_text())
         corrupt(data)
+        manifest.write_text(json.dumps(data))
+        with pytest.raises(StoreError, match="malformed session manifest"):
+            SpatialDataset.open(tmp_path / "session")
+
+    @pytest.mark.parametrize(
+        "shards", ["x", [2], 0, -1, 2.5, True], ids=["str", "list", "zero", "negative", "float", "bool"]
+    )
+    def test_manifest_with_bad_shards_raises(
+        self, tmp_path, crash_frame, suite_regions, shards
+    ):
+        """``shards`` must be null or an integer >= 1; anything else is a
+        malformed manifest, never a builtin error or a silent truncation."""
+        import json
+
+        dataset = SpatialDataset(
+            _points(18), frame=crash_frame, suites={"zones": suite_regions}
+        )
+        dataset.save(tmp_path / "session")
+        manifest = tmp_path / "session/session.json"
+        data = json.loads(manifest.read_text())
+        data["shards"] = shards
         manifest.write_text(json.dumps(data))
         with pytest.raises(StoreError, match="malformed session manifest"):
             SpatialDataset.open(tmp_path / "session")

@@ -432,55 +432,3 @@ class TestPersistence:
         loaded = FlatACT.load(path)
         assert loaded.consolidated
         assert loaded.fingerprints == entry_fingerprints(regions)
-
-
-class TestSegmentTokens:
-    """state_parts() is the shm republish contract: tokens move iff arrays do."""
-
-    def test_patch_moves_only_control_and_new_delta(self, builder, pool, frame):
-        live = _fresh(list(pool[:4]), frame)
-        (ctl0, _), (base0, _) = live.state_parts()
-
-        replacement = pool[0].scaled(0.9)
-        live.replace_polygon(0, _cells(builder, [replacement], frame)[0])
-        parts = live.state_parts()
-        assert len(parts) == 3  # control + base + one delta run
-        assert parts[0][0] != ctl0  # control carries the tombstone map: moved
-        assert parts[1][0] == base0  # base CSR untouched: same token
-        delta_token = parts[2][0]
-
-        live.remove_polygons([1])  # map-only mutation: no new delta segment
-        parts = live.state_parts()
-        assert len(parts) == 3
-        assert parts[1][0] == base0
-        assert parts[2][0] == delta_token  # delta segments are immutable from birth
-
-        live.consolidate()
-        parts = live.state_parts()
-        assert len(parts) == 2
-        assert parts[1][0] != base0  # consolidation rewrites the base
-
-    def test_merge_retires_absorbed_tokens(self, builder, pool, frame):
-        live = _fresh(list(pool[:4]), frame)
-        live.replace_polygon(0, _cells(builder, [pool[0].scaled(0.9)], frame)[0])
-        first = live.state_parts()[2][0]
-        # Same polygon again: the first segment is all tombstones, so it merges.
-        live.replace_polygon(0, _cells(builder, [pool[0].scaled(0.8)], frame)[0])
-        parts = live.state_parts()
-        assert len(parts) == 3
-        assert parts[2][0] != first
-
-    def test_parts_union_equals_state_arrays(self, builder, pool, frame):
-        live = _fresh(list(pool[:3]), frame)
-        live.replace_polygon(1, _cells(builder, [pool[1].scaled(0.9)], frame)[0])
-        merged: dict = {}
-        for _, arrays in live.state_parts():
-            merged.update(arrays)
-        state = live.state_arrays()
-        assert set(merged) == set(state)
-        for name, array in state.items():
-            np.testing.assert_array_equal(merged[name], array)
-        # A worker reassembling from the parts answers identically.
-        rebuilt = FlatACT.from_state_arrays(merged)
-        assert rebuilt.num_cells == live.num_cells
-        assert rebuilt.num_polygons == live.num_polygons

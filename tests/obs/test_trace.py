@@ -165,47 +165,13 @@ class TestSerialization:
         trace.disable()
         return root
 
-    def test_round_trip(self):
+    def test_span_to_dict_payload(self):
         root = self._sample_root()
         payload = trace.span_to_dict(root)
-        restored = trace.span_from_dict(payload)
-        assert restored.name == "root"
-        assert restored.tags == {"kind": "join"}
-        assert [c.name for c in restored.children] == ["child"]
-        assert restored.seconds == pytest.approx(root.seconds)
-
-    def test_rebase_shifts_whole_subtree(self):
-        root = self._sample_root()
-        payload = trace.span_to_dict(root)
-        shifted = trace.span_from_dict(payload, shift=100.0)
-        assert shifted.start == pytest.approx(root.start + 100.0)
-        assert shifted.children[0].end == pytest.approx(
-            root.children[0].end + 100.0
-        )
-        # Durations are shift-invariant.
-        assert shifted.seconds == pytest.approx(root.seconds)
-
-    def test_tracer_attach_rebases_to_local_clock(self):
-        payload = trace.span_to_dict(self._sample_root())
-        tracer = trace.enable()
-        local = trace.Span("shard.probe", {"shard": 1})
-        local.start = 500.0
-        local.end = 501.0
-        grafted = tracer.attach(payload, parent=local, rebase_to=local.start)
-        assert grafted.start == pytest.approx(500.0)
-        assert local.children == [grafted]
-
-    def test_add_finished_grafts_under_current_span(self):
-        trace.enable()
-        done = trace.Span("late")
-        done.start, done.end = 1.0, 2.0
-        with trace.span("root") as root:
-            trace.add_finished(done)
-        assert done in root.children
-
-    def test_add_finished_noop_when_disabled(self):
-        done = trace.Span("late")
-        trace.add_finished(done)  # must not raise
+        assert payload["name"] == "root"
+        assert payload["tags"] == {"kind": "join"}
+        assert (payload["start"], payload["end"]) == (root.start, root.end)
+        assert [c["name"] for c in payload["children"]] == ["child"]
 
 
 class TestExport:

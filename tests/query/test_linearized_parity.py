@@ -157,14 +157,16 @@ class TestThreeProbePaths:
         for spec in _specs(16.0, None).values():
             assert_three_paths_agree(dataset, points, spec, cached=True)
 
-    def test_sharded_dataset_never_linearizes(self):
+    def test_static_sharded_dataset_uses_the_cached_linearization(self):
+        """A static ``shards`` count changes no execution: the sharded
+        dataset walks the same cached linearization as an unsharded one."""
         rng = np.random.default_rng(3)
         points = _points(rng, 500)
         dataset = SpatialDataset(points, frame=FRAME, shards=2)
         dataset.add_suite("s", [_region(rng) for _ in range(3)])
         for spec in _specs(16.0, None).values():
-            dataset.query(spec, strategy="act")
-        assert dataset._linearized is None
+            assert_three_paths_agree(dataset, points, spec, cached=True)
+        assert dataset._linearized is not None
 
 
 def test_kernel_refuses_a_mismatched_linearization():

@@ -257,11 +257,3 @@ class TestTelemetry:
         assert stats["responses"] == 1
         assert stats["batches"] >= 1
         assert stats["mean_batch_requests"] >= 1.0
-
-
-class TestWorkerPool:
-    def test_pool_probe_bit_matches_serial(self, store_dataset):
-        spec = AggregationQuery(epsilon=4.0, aggregate=Aggregate.SUM, attribute="fare")
-        with QueryServer(store_dataset, workers=2) as server:
-            pooled = server.join(spec=spec)
-        _assert_join_parity(pooled, store_dataset, spec)

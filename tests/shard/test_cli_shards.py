@@ -1,44 +1,26 @@
-"""CLI ``--shards`` flag: fan-out rendering and sharded store streaming."""
+"""CLI ``--shards`` flag: sharded store streaming; static commands take none."""
 
 from __future__ import annotations
+
+import pytest
 
 from repro.cli import build_parser, main
 
 
 class TestShardFlags:
     def test_defaults(self):
-        args = build_parser().parse_args(["join"])
+        args = build_parser().parse_args(["store"])
         assert args.shards is None
-        assert args.workers == 0
+        assert not hasattr(args, "workers")
 
-    def test_plan_execute_prints_fan_out(self, capsys):
-        code = main(
-            [
-                "plan", "--points", "2000", "--regions", "4",
-                "--epsilon", "8", "--shards", "3", "--execute",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "scatter_gather [shards=3, workers=0]" in out
-        assert "fan-out (3 shards" in out
-        assert "shard2" in out
+    @pytest.mark.parametrize("command", ["join", "plan"])
+    def test_static_commands_take_no_shard_flag(self, command, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--shards", "3"])
 
     def test_plan_without_shards_is_unsharded(self, capsys):
         assert main(["plan", "--points", "2000", "--regions", "4", "--epsilon", "8"]) == 0
         assert "scatter_gather" not in capsys.readouterr().out
-
-    def test_join_sharded_act(self, capsys):
-        code = main(
-            [
-                "join", "--strategy", "act", "--points", "1500",
-                "--regions", "4", "--epsilon", "8", "--shards", "4",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "shards=4" in out
-        assert "act" in out
 
     def test_store_sharded_matches_rebuild(self, capsys):
         code = main(

@@ -3,7 +3,8 @@
 The acceptance bar of the scatter-gather layer: for every tested shard
 count, over static partitions and store-backed snapshots, the merged
 result — float aggregates included — is bit-identical to the unsharded
-kernel.  The suite deliberately includes zero-point shards
+kernel.  A static dataset's ``shards`` count changes no execution at all;
+its answers and plans equal the unsharded dataset's.  The suite deliberately includes zero-point shards
 (all points clustered in one tile) and polygons straddling tile boundaries.
 """
 
@@ -14,10 +15,12 @@ import pytest
 
 from repro.api import SpatialDataset
 from repro.query import AggregationQuery
+from repro.query.spec import Aggregate
 from repro.query.join_mm import act_approximate_join
 from repro.shard import ShardedStore, StaticShards, sharded_act_join
 
 SHARD_COUNTS = (1, 2, 4, 7)
+INERT_SHARD_COUNTS = (1, 2, 3, 7)
 EPSILON = 8.0
 
 
@@ -165,12 +168,17 @@ class TestStoreParity:
         _assert_join_equal(rebuilt, before)
 
 
+def _fare_over_20(points):
+    return points.attribute("fare") > 20.0
+
+
 class TestFacadeParity:
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     def test_dataset_query_estimate_raster(
         self, frame, workload, taxi_points, neighborhoods, avg_query, shards
     ):
-        """The planned scatter-gather facade path equals the unsharded facade."""
+        """A static ``shards`` count is inert: the facade plans and answers
+        exactly as the unsharded facade does."""
         base = SpatialDataset(
             taxi_points, frame=frame, extent=workload.extent,
             suites={"hoods": neighborhoods},
@@ -181,8 +189,7 @@ class TestFacadeParity:
         )
         r0 = base.query(avg_query, suite="hoods")
         r1 = ds.query(avg_query, suite="hoods")
-        assert r1.choice.plan.operator == "scatter_gather"
-        assert r1.choice.plan.params["shards"] == shards
+        assert r1.choice.plan == r0.choice.plan
         _assert_join_equal(r1.result, r0.result)
         assert ds.estimate("hoods", epsilon=10.0) == base.estimate("hoods", epsilon=10.0)
         assert np.array_equal(
@@ -202,6 +209,8 @@ class TestFacadeParity:
         r0 = base.query(avg_query, suite="hoods")
         r1 = ds.query(avg_query, suite="hoods")
         _assert_join_equal(r1.result, r0.result)
+        assert r1.choice.plan.operator == "scatter_gather"
+        assert "scatter_gather" in ds.explain(avg_query, suite="hoods")
         assert r1.result.extra["shards"] == 4
         # One registry serves all shards: the second query is a pure hit.
         misses = ds.registry.stats.misses
@@ -209,12 +218,74 @@ class TestFacadeParity:
         assert ds.registry.stats.misses == misses
 
     def test_explain_reports_stages_and_fan_out(
-        self, frame, taxi_points, neighborhoods, avg_query
+        self, frame, store_level, taxi_points, neighborhoods, avg_query
     ):
-        ds = SpatialDataset(
-            taxi_points, frame=frame, suites={"hoods": neighborhoods}, shards=4
-        )
+        store = ShardedStore.from_points(taxi_points, frame, store_level, 4)
+        ds = SpatialDataset(store, suites={"hoods": neighborhoods})
         text = ds.query(avg_query, suite="hoods").explain()
         assert "scatter_gather" in text
         assert "stages:" in text and "registry_build=" in text
         assert "shard execute:" in text and "shard3=" in text
+
+
+class TestInertStaticShards:
+    """``SpatialDataset(points, shards=K)`` is validated but changes no
+    execution: every answer equals ``shards=None`` bit for bit, and no plan
+    scatters."""
+
+    @staticmethod
+    def _pair(frame, workload, taxi_points, neighborhoods, shards):
+        common = dict(frame=frame, extent=workload.extent, suites={"hoods": neighborhoods})
+        return (
+            SpatialDataset(taxi_points, **common),
+            SpatialDataset(taxi_points, shards=shards, **common),
+        )
+
+    @pytest.mark.parametrize("point_filter", [None, _fare_over_20], ids=["all", "filtered"])
+    @pytest.mark.parametrize("aggregate", [Aggregate.COUNT, Aggregate.SUM, Aggregate.AVG])
+    @pytest.mark.parametrize("shards", INERT_SHARD_COUNTS)
+    def test_query_bit_identical(
+        self, frame, workload, taxi_points, neighborhoods, shards, aggregate, point_filter
+    ):
+        base, ds = self._pair(frame, workload, taxi_points, neighborhoods, shards)
+        spec = AggregationQuery(
+            epsilon=EPSILON, aggregate=aggregate, attribute="fare",
+            point_filter=point_filter,
+        )
+        _assert_join_equal(
+            ds.query(spec, suite="hoods", strategy="act").result,
+            base.query(spec, suite="hoods", strategy="act").result,
+        )
+        _assert_join_equal(ds.query(spec, suite="hoods"), base.query(spec, suite="hoods"))
+
+    @pytest.mark.parametrize("point_filter", [None, _fare_over_20], ids=["all", "filtered"])
+    @pytest.mark.parametrize("shards", INERT_SHARD_COUNTS)
+    def test_raster_count_and_estimate_identical(
+        self, frame, workload, taxi_points, neighborhoods, shards, point_filter
+    ):
+        base, ds = self._pair(frame, workload, taxi_points, neighborhoods, shards)
+        spec = AggregationQuery(point_filter=point_filter)
+        assert np.array_equal(
+            ds.raster_count("hoods", cells_per_polygon=64, spec=spec),
+            base.raster_count("hoods", cells_per_polygon=64, spec=spec),
+        )
+        assert ds.estimate("hoods", epsilon=10.0, spec=spec) == base.estimate(
+            "hoods", epsilon=10.0, spec=spec
+        )
+
+    @pytest.mark.parametrize("shards", INERT_SHARD_COUNTS)
+    def test_plans_never_scatter(self, frame, workload, taxi_points, neighborhoods, shards):
+        _, ds = self._pair(frame, workload, taxi_points, neighborhoods, shards)
+        assert ds.shards == shards
+        spec = AggregationQuery(epsilon=EPSILON)
+        for strategy in (None, "act"):
+            choice = ds.plan(spec, suite="hoods", strategy=strategy)
+            assert "scatter_gather" not in {node.operator for node in _walk(choice.plan)}
+            assert "scatter_gather" not in ds.explain(spec, suite="hoods", strategy=strategy)
+        assert "scatter_gather" not in ds.query(spec, suite="hoods").explain()
+
+
+def _walk(node):
+    yield node
+    for child in node.children:
+        yield from _walk(child)

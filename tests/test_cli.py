@@ -282,8 +282,8 @@ class TestTraceCommand:
     def test_trace_sharded_join_covers_scatter(self, tmp_path, capsys):
         out = tmp_path / "trace.json"
         assert main(
-            ["trace", "-o", str(out), "join", "--points", "400", "--regions", "4",
-             "--strategy", "act", "--shards", "2"]
+            ["trace", "-o", str(out), "store", "--points", "400", "--regions", "4",
+             "--batches", "2", "--shards", "2"]
         ) == 0
         names = {e["name"] for e in json.loads(out.read_text())["traceEvents"]}
         assert {"gather.build", "gather.probe", "gather.scatter",
