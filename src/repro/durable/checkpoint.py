@@ -46,7 +46,7 @@ import numpy as np
 
 from repro.durable import faults
 from repro.durable.wal import CommitLog, WriteAheadLog
-from repro.errors import StoreError
+from repro.errors import QueryError, StoreError
 from repro.geometry.point import PointSet
 from repro.geometry.wkt import from_wkt
 from repro.grid.uniform_grid import GridFrame
@@ -317,29 +317,24 @@ def _read_manifest(path: Path) -> dict:
         raise StoreError(
             f"malformed session manifest {path}: missing {', '.join(missing)}"
         )
+    # Lazy: repro.api.dataset imports this module.
+    from repro.api.dataset import _validated_shards
+
     try:
         frame = manifest["frame"]
+        shards = manifest.get("shards")
         return {
             "kind": manifest["kind"],
             "level": int(manifest["level"]),
             "frame": GridFrame.from_raw(frame["origin_x"], frame["origin_y"], frame["size"]),
-            "shards": _manifest_shards(manifest.get("shards")),
+            "shards": None if shards is None else _validated_shards(shards),
             "suites": [
                 (entry["name"], entry["file"], entry["fingerprint"])
                 for entry in manifest["suites"]
             ],
         }
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, QueryError) as exc:
         raise StoreError(f"malformed session manifest {path}: bad {exc!r}") from None
-
-
-def _manifest_shards(shards):
-    """A manifest's ``shards``: ``null`` or an integer >= 1 (never a bool)."""
-    if shards is None:
-        return None
-    if isinstance(shards, bool) or not isinstance(shards, int) or shards < 1:
-        raise ValueError(f"shards={shards!r} (expected null or an integer >= 1)")
-    return shards
 
 
 def _load_points(path: Path) -> PointSet:

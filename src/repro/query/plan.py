@@ -119,9 +119,6 @@ class PlanContext:
     #: Point linearization level of raster-count plans built on the fly
     #: (a prebuilt ``linearized`` brings its own).
     level: int = 12
-    #: Sharded execution state for scatter_gather plans: the
-    #: :class:`~repro.shard.store.ShardedSnapshot` of a sharded store.
-    shards: Any = None
 
 
 # --------------------------------------------------------------------------- #
@@ -190,11 +187,12 @@ def range_estimate_plan(epsilon: float) -> PlanNode:
 def scatter_gather_plan(subplan: PlanNode, shards: int) -> PlanNode:
     """Fan a per-shard subplan out over K shards and merge the partials exactly.
 
-    The merge node the optimizer emits over a sharded store: the child runs
-    once per shard, in-process, and the root merges the partial aggregates
-    — stable global-id scatter-add for joins, integer summation for the
-    raster-count and range-estimation paths — so the result is
-    bit-identical to the unsharded subplan.
+    The merge node the optimizer puts over a sharded store's ACT plan.  It
+    describes the execution of :meth:`ShardedSnapshot.act_join
+    <repro.shard.store.ShardedSnapshot.act_join>` — the child probes once
+    per shard, in-process, and a stable global-id scatter-add merges the
+    pairs, bit-identical to the unsharded subplan — and is rendered by
+    EXPLAIN; :func:`run_plan` does not interpret it.
     """
     if shards < 1:
         raise QueryError("scatter_gather needs at least one shard")
@@ -315,47 +313,11 @@ def _run_plan_root(plan: PlanNode, context: PlanContext):
             for region in context.regions
         ]
     if root == "scatter_gather":
-        return _run_scatter_gather(plan, context)
+        # Only a sharded store plans this node, and its snapshot executes
+        # the fan-out itself (``ShardedSnapshot.act_join``); the node is
+        # rendered by EXPLAIN, never interpreted here.
+        raise QueryError("a scatter_gather plan runs through a sharded store's snapshot")
     raise QueryError(f"unknown plan root operator {root!r}")
-
-
-def _run_scatter_gather(plan: PlanNode, context: PlanContext):
-    """Fan the child plan out across the context's shards and merge exactly.
-
-    ``context.shards`` is a ``ShardedSnapshot`` (per-shard store snapshots,
-    which route through their registry-aware query methods).  Every merge
-    is exact, so the result is bit-identical to running the child plan
-    unsharded.
-    """
-    shards = context.shards
-    if shards is None:
-        raise QueryError("a scatter_gather plan needs PlanContext.shards")
-    child = plan.children[0]
-    op = child.operator
-    trace.annotate(subplan=op, shards=int(plan.params.get("shards", 0)))
-
-    if op == "act_aggregate":
-        return shards.act_join(
-            context.regions,
-            epsilon=float(child.params["epsilon"]),
-            query=context.query,
-            trie=context.trie,
-        )
-    if op == "range_count":
-        ranges_node = child.children[0]
-        cells = int(ranges_node.params["cells_per_polygon"])
-        conservative = bool(ranges_node.params.get("conservative", True))
-        return np.array(
-            [
-                shards.raster_count(region, cells, conservative=conservative)
-                for region in context.regions
-            ],
-            dtype=np.int64,
-        )
-    if op == "result_range":
-        epsilon = float(child.params["epsilon"])
-        return [shards.estimate_count_range(region, epsilon) for region in context.regions]
-    raise QueryError(f"scatter_gather cannot fan out a {op!r} subplan")
 
 
 def execute_plan(plan: PlanNode, context: PlanContext) -> np.ndarray:

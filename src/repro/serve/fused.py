@@ -30,8 +30,6 @@ from repro.serve.request import JoinAnswer, LookupAnswer
 
 __all__ = ["fused_act_join", "fused_lookup"]
 
-_EMPTY_CSR = (np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64))
-
 
 def fused_act_join(
     segments,
@@ -61,16 +59,14 @@ def fused_act_join(
                 raise QueryError("point_filter must return one boolean per point")
             points = points.select(mask)
             ids = ids[mask]
-        filtered.append((ids, points))
+        if len(points):
+            filtered.append((ids, points))
+    probes = sum(len(points) for _, points in filtered)
 
-    with trace.span("fused.probe", segments=len(filtered), specs=len(specs)):
-        with trace.timed("shard.probe", points=sum(len(p) for _, p in filtered)) as probe_span:
-            results = [
-                trie.lookup_points_batch(points.xs, points.ys)
-                if len(points)
-                else _EMPTY_CSR
-                for _, points in filtered
-            ]
+    with trace.timed(
+        "fused.probe", segments=len(filtered), specs=len(specs), points=probes
+    ) as probe_span:
+        results = [trie.lookup_points_batch(points.xs, points.ys) for _, points in filtered]
     probe_seconds = probe_span.seconds
 
     with trace.span("fused.scatter", specs=len(specs)):
@@ -81,9 +77,7 @@ def fused_act_join(
         id_chunks: list[np.ndarray] = []
         pid_chunks: list[np.ndarray] = []
         idx_chunks: list[tuple[PointSet, np.ndarray]] = []
-        probes = 0
         for (ids, points), (offsets, pids) in zip(filtered, results):
-            probes += len(points)
             if pids.shape[0] == 0:
                 continue
             point_idx = np.repeat(

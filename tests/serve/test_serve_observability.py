@@ -105,9 +105,7 @@ class TestServeSpans:
         kernel = [c for c in batch.walk() if c.name == "batch.kernel"]
         assert kernel and kernel[0].tags["kind"] == "join"
         probes = [c for c in kernel[0].walk() if c.name == "fused.probe"]
-        assert probes
-        shard = [c for c in probes[0].walk() if c.name == "shard.probe"]
-        assert shard
+        assert probes and probes[0].tags["points"] > 0
         # The response carries the same batch span.
         assert response.timing.spans is batch
         assert "serve.batch" in response.explain()

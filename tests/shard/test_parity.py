@@ -4,8 +4,9 @@ The acceptance bar of the scatter-gather layer: for every tested shard
 count, over static partitions and store-backed snapshots, the merged
 result — float aggregates included — is bit-identical to the unsharded
 kernel.  A static dataset's ``shards`` count changes no execution at all;
-its answers and plans equal the unsharded dataset's.  The suite deliberately includes zero-point shards
-(all points clustered in one tile) and polygons straddling tile boundaries.
+its answers and plans equal the unsharded dataset's.  The suite
+deliberately includes zero-point shards (all points clustered in one tile)
+and polygons straddling tile boundaries.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ import numpy as np
 import pytest
 
 from repro.api import SpatialDataset
+from repro.errors import QueryError
 from repro.query import AggregationQuery
+from repro.query.plan import PlanContext, run_plan
 from repro.query.spec import Aggregate
 from repro.query.join_mm import act_approximate_join
 from repro.shard import ShardedStore, StaticShards, sharded_act_join
@@ -173,28 +176,36 @@ def _fare_over_20(points):
 
 
 class TestFacadeParity:
-    @pytest.mark.parametrize("shards", SHARD_COUNTS)
+    @pytest.mark.parametrize("point_filter", [None, _fare_over_20], ids=["all", "filtered"])
+    @pytest.mark.parametrize("aggregate", [Aggregate.COUNT, Aggregate.SUM, Aggregate.AVG])
+    @pytest.mark.parametrize("shards", INERT_SHARD_COUNTS)
     def test_dataset_query_estimate_raster(
-        self, frame, workload, taxi_points, neighborhoods, avg_query, shards
+        self, frame, workload, taxi_points, neighborhoods, shards, aggregate, point_filter
     ):
         """A static ``shards`` count is inert: the facade plans and answers
-        exactly as the unsharded facade does."""
-        base = SpatialDataset(
-            taxi_points, frame=frame, extent=workload.extent,
-            suites={"hoods": neighborhoods},
+        exactly as the unsharded facade does, and no plan scatters."""
+        common = dict(frame=frame, extent=workload.extent, suites={"hoods": neighborhoods})
+        base = SpatialDataset(taxi_points, **common)
+        ds = SpatialDataset(taxi_points, shards=shards, **common)
+        assert ds.shards == shards
+        spec = AggregationQuery(
+            epsilon=EPSILON, aggregate=aggregate, attribute="fare",
+            point_filter=point_filter,
         )
-        ds = SpatialDataset(
-            taxi_points, frame=frame, extent=workload.extent,
-            suites={"hoods": neighborhoods}, shards=shards,
-        )
-        r0 = base.query(avg_query, suite="hoods")
-        r1 = ds.query(avg_query, suite="hoods")
-        assert r1.choice.plan == r0.choice.plan
-        _assert_join_equal(r1.result, r0.result)
-        assert ds.estimate("hoods", epsilon=10.0) == base.estimate("hoods", epsilon=10.0)
+        for strategy in (None, "act"):
+            r0 = base.query(spec, suite="hoods", strategy=strategy)
+            r1 = ds.query(spec, suite="hoods", strategy=strategy)
+            assert r1.choice.plan == r0.choice.plan
+            assert "scatter_gather" not in {node.operator for node in _walk(r1.choice.plan)}
+            assert "scatter_gather" not in ds.explain(spec, suite="hoods", strategy=strategy)
+            assert "scatter_gather" not in r1.explain()
+            _assert_join_equal(r1.result, r0.result)
         assert np.array_equal(
-            ds.raster_count("hoods", cells_per_polygon=64),
-            base.raster_count("hoods", cells_per_polygon=64),
+            ds.raster_count("hoods", cells_per_polygon=64, spec=spec),
+            base.raster_count("hoods", cells_per_polygon=64, spec=spec),
+        )
+        assert ds.estimate("hoods", epsilon=10.0, spec=spec) == base.estimate(
+            "hoods", epsilon=10.0, spec=spec
         )
 
     def test_sharded_store_dataset(
@@ -211,6 +222,10 @@ class TestFacadeParity:
         _assert_join_equal(r1.result, r0.result)
         assert r1.choice.plan.operator == "scatter_gather"
         assert "scatter_gather" in ds.explain(avg_query, suite="hoods")
+        # The node describes the snapshot's fan-out; the plan interpreter
+        # does not run it.
+        with pytest.raises(QueryError, match="scatter_gather"):
+            run_plan(r1.choice.plan, PlanContext(taxi_points, neighborhoods, avg_query))
         assert r1.result.extra["shards"] == 4
         # One registry serves all shards: the second query is a pure hit.
         misses = ds.registry.stats.misses
@@ -226,63 +241,6 @@ class TestFacadeParity:
         assert "scatter_gather" in text
         assert "stages:" in text and "registry_build=" in text
         assert "shard execute:" in text and "shard3=" in text
-
-
-class TestInertStaticShards:
-    """``SpatialDataset(points, shards=K)`` is validated but changes no
-    execution: every answer equals ``shards=None`` bit for bit, and no plan
-    scatters."""
-
-    @staticmethod
-    def _pair(frame, workload, taxi_points, neighborhoods, shards):
-        common = dict(frame=frame, extent=workload.extent, suites={"hoods": neighborhoods})
-        return (
-            SpatialDataset(taxi_points, **common),
-            SpatialDataset(taxi_points, shards=shards, **common),
-        )
-
-    @pytest.mark.parametrize("point_filter", [None, _fare_over_20], ids=["all", "filtered"])
-    @pytest.mark.parametrize("aggregate", [Aggregate.COUNT, Aggregate.SUM, Aggregate.AVG])
-    @pytest.mark.parametrize("shards", INERT_SHARD_COUNTS)
-    def test_query_bit_identical(
-        self, frame, workload, taxi_points, neighborhoods, shards, aggregate, point_filter
-    ):
-        base, ds = self._pair(frame, workload, taxi_points, neighborhoods, shards)
-        spec = AggregationQuery(
-            epsilon=EPSILON, aggregate=aggregate, attribute="fare",
-            point_filter=point_filter,
-        )
-        _assert_join_equal(
-            ds.query(spec, suite="hoods", strategy="act").result,
-            base.query(spec, suite="hoods", strategy="act").result,
-        )
-        _assert_join_equal(ds.query(spec, suite="hoods"), base.query(spec, suite="hoods"))
-
-    @pytest.mark.parametrize("point_filter", [None, _fare_over_20], ids=["all", "filtered"])
-    @pytest.mark.parametrize("shards", INERT_SHARD_COUNTS)
-    def test_raster_count_and_estimate_identical(
-        self, frame, workload, taxi_points, neighborhoods, shards, point_filter
-    ):
-        base, ds = self._pair(frame, workload, taxi_points, neighborhoods, shards)
-        spec = AggregationQuery(point_filter=point_filter)
-        assert np.array_equal(
-            ds.raster_count("hoods", cells_per_polygon=64, spec=spec),
-            base.raster_count("hoods", cells_per_polygon=64, spec=spec),
-        )
-        assert ds.estimate("hoods", epsilon=10.0, spec=spec) == base.estimate(
-            "hoods", epsilon=10.0, spec=spec
-        )
-
-    @pytest.mark.parametrize("shards", INERT_SHARD_COUNTS)
-    def test_plans_never_scatter(self, frame, workload, taxi_points, neighborhoods, shards):
-        _, ds = self._pair(frame, workload, taxi_points, neighborhoods, shards)
-        assert ds.shards == shards
-        spec = AggregationQuery(epsilon=EPSILON)
-        for strategy in (None, "act"):
-            choice = ds.plan(spec, suite="hoods", strategy=strategy)
-            assert "scatter_gather" not in {node.operator for node in _walk(choice.plan)}
-            assert "scatter_gather" not in ds.explain(spec, suite="hoods", strategy=strategy)
-        assert "scatter_gather" not in ds.query(spec, suite="hoods").explain()
 
 
 def _walk(node):
